@@ -8,15 +8,15 @@ from .fem import Material, MaterialParams, RayleighParams, \
     stiffness_matrix, rayleigh_damping
 from .contact import HalfSpace, Sphere, ContactConfig
 from .system import SimState, ForceModel, state_energy
-from .steppers import Method, NewtonConfig, StepperConfig, StepFailure, \
-    newton_solve, bootstrap_history
+from .steppers import Method, NewtonConfig, StepFailure, newton_solve, \
+    bootstrap_history
 from .expo import phi1_dense, phi1_action_krylov, phi1_modal, ere_step
 from .reduction import RefreshPolicy, ModalSplit, smallest_eigpairs, \
     modal_split, SmwSolver
 from .analysis import DampingCurve, EnergyReport, amplification, \
     spectral_radius, damping_coefficient, damping_curve, \
     stability_function, energy_report, convergence_order
-from .driver import Advancer, ReductionConfig, run_simulation, ALL_METHODS
+from .driver import Advancer, ReductionConfig, run_simulation, METHODS
 from .scenes import SceneError, SceneConfig, parse_scene, load_scene, \
     scene_to_dict, build_model
 
@@ -30,7 +30,7 @@ __all__ = [
     "rayleigh_damping",
     "HalfSpace", "Sphere", "ContactConfig",
     "SimState", "ForceModel", "state_energy",
-    "Method", "NewtonConfig", "StepperConfig", "StepFailure",
+    "Method", "NewtonConfig", "StepFailure",
     "newton_solve", "bootstrap_history",
     "phi1_dense", "phi1_action_krylov", "phi1_modal", "ere_step",
     "RefreshPolicy", "ModalSplit", "smallest_eigpairs", "modal_split",
@@ -38,7 +38,7 @@ __all__ = [
     "DampingCurve", "EnergyReport", "amplification", "spectral_radius",
     "damping_coefficient", "damping_curve", "stability_function",
     "energy_report", "convergence_order",
-    "Advancer", "ReductionConfig", "run_simulation", "ALL_METHODS",
+    "Advancer", "ReductionConfig", "run_simulation", "METHODS",
     "SceneError", "SceneConfig", "parse_scene", "load_scene",
     "scene_to_dict", "build_model",
 ]

@@ -11,10 +11,6 @@ import scipy.linalg
 from . import steppers
 from .steppers import Method, NewtonConfig
 
-# Methods whose one-step amplification on the linear test equation exists.
-_ONE_STEP = {Method.BE, Method.SI, Method.TR, Method.TRBDF2, Method.STRBDF2,
-             Method.SDIRK, Method.SSDIRK}
-
 
 @dataclass(frozen=True)
 class DampingCurve:
@@ -35,21 +31,16 @@ class EnergyReport:
         return self.kinetic + self.elastic + self.gravity
 
 
-def _test_jacobian(omega):
-    return np.array([[0.0, 1.0], [-omega ** 2, 0.0]])
-
-
 def amplification(method, omega, h):
     """Companion matrix T advancing q'' + omega^2 q = 0 by one step.
 
     2x2 for one-step methods, 4x4 block companion for the BDF2 family.
     """
-    if isinstance(method, str):
-        if method.upper() == "ERE":
-            return scipy.linalg.expm(h * _test_jacobian(omega))
-        method = Method(method.upper())
-    j = _test_jacobian(omega)
+    method = Method(method.upper()) if isinstance(method, str) else method
+    j = np.array([[0.0, 1.0], [-omega ** 2, 0.0]])
     eye = np.eye(2)
+    if method is Method.ERE:
+        return scipy.linalg.expm(h * j)
     if method in (Method.BE, Method.SI):
         return np.linalg.solve(eye - h * j, eye)
     if method is Method.TR:
@@ -109,26 +100,12 @@ def stability_function(method, z, newton: NewtonConfig | None = None):
         def eval_J(self, u):
             return np.array([[z]])
 
-    sys_ = _Scalar()
     cfg = newton or NewtonConfig(abs_tol=1e-13 * max(1.0, abs(z)))
-    method = Method(method) if isinstance(method, str) else method
-    u0 = np.array([1.0])
-    if method in (Method.BE,):
-        u1 = steppers.step_be(sys_, u0, 1.0, cfg)
-    elif method is Method.SI:
-        u1 = steppers.step_si(sys_, u0, 1.0)
-    elif method is Method.TR:
-        u1 = steppers.step_tr(sys_, u0, 1.0, cfg)
-    elif method in (Method.TRBDF2,):
-        u1 = steppers.step_trbdf2(sys_, u0, 1.0, cfg)
-    elif method is Method.STRBDF2:
-        u1 = steppers.step_strbdf2(sys_, u0, 1.0)
-    elif method is Method.SDIRK:
-        u1 = steppers.step_sdirk(sys_, u0, 1.0, cfg)
-    elif method is Method.SSDIRK:
-        u1 = steppers.step_ssdirk(sys_, u0, 1.0)
-    else:
+    method = Method(method.upper()) if isinstance(method, str) else method
+    entry = steppers.METHODS.get(method)
+    if entry is None or entry.history != 1:
         raise ValueError(f"no one-step stability function for {method}")
+    u1 = entry.step(_Scalar(), np.array([1.0]), None, 1.0, cfg, None, None)
     return float(u1[0])
 
 
@@ -148,7 +125,8 @@ def energy_report(model, states) -> EnergyReport:
 def convergence_order(step_fn, u0, t_end, h_list, reference):
     """Least-squares slope of log error vs log h.
 
-    ``step_fn(u, h)`` advances one step; ``reference`` is the exact state
+    ``step_fn(u, um1, h)`` advances one step from u, with um1 the state
+    before it (None on the first step); ``reference`` is the exact state
     at t_end (array) or a callable t -> array.
     """
     ref = reference(t_end) if callable(reference) else np.asarray(reference)
@@ -157,9 +135,9 @@ def convergence_order(step_fn, u0, t_end, h_list, reference):
         n = int(round(t_end / h))
         if abs(n * h - t_end) > 1e-12 * t_end:
             raise ValueError(f"h={h} does not divide t_end={t_end}")
-        u = np.array(u0, dtype=float)
+        u, um1 = np.array(u0, dtype=float), None
         for _ in range(n):
-            u = step_fn(u, h)
+            u, um1 = step_fn(u, um1, h), u
         errs.append(np.linalg.norm(u - ref))
     errs = np.array(errs)
     if np.any(errs < 1e-14):

@@ -96,11 +96,10 @@ class ContactSet:
 
 
 def gap(mesh, surfaces, q) -> ContactSet:
-    """Detect contacts of surface vertices against all surfaces.
+    """Signed distance of every surface-vertex/surface pair.
 
-    Pairs with d >= delta are excluded by the caller via ``delta``-aware
-    helpers; here every pair is measured and only those inside the support
-    are retained when a delta is supplied through ContactConfig wrappers.
+    Every pair is measured and returned; ``active_set`` keeps the pairs
+    inside the barrier support (d < delta) and clamps penetrating gaps.
     """
     pos = np.asarray(q, dtype=float).reshape(-1, 3)
     verts, surfs, gaps, normals = [], [], [], []

@@ -1,23 +1,41 @@
-"""Simulation driving: unified step dispatch over all integrators and a
+"""Simulation driving: one step dispatch through the method table and a
 frame-producing run loop with CSV-friendly diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import contact as ct
 from . import expo, reduction, steppers
 from .reduction import ModalSplit, RefreshPolicy
-from .steppers import Method, NewtonConfig
+from .steppers import Method, MethodEntry, NewtonConfig
 from .system import SimState
 
-ONE_STEP = {"BE", "SI", "TR", "TRBDF2", "STRBDF2", "SDIRK", "SSDIRK",
-            "ERE", "SIERE", "BEERE", "STRSBDF2ERE"}
-TWO_STEP = {"BDF2", "SBDF2", "BDF2ERE", "SBDF2ERE"}
-REDUCTION_METHODS = {"SIERE", "BEERE", "BDF2ERE", "SBDF2ERE", "STRSBDF2ERE"}
-ALL_METHODS = ONE_STEP | TWO_STEP
+# Every method: the difference methods plus the exponential and modal ones.
+METHODS = {
+    **steppers.METHODS,
+    Method.ERE: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag: expo.ere_step(model, u, h)),
+    Method.SIERE: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        reduction.siere_step(model, u, h, ms, diag), modal=True),
+    Method.BEERE: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        reduction.beere_step(model, u, h, ms, cfg), modal=True),
+    Method.BDF2ERE: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        reduction.bdf2ere_step(model, u, um1, h, ms, cfg),
+        history=2, modal=True),
+    Method.SBDF2ERE: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        reduction.sbdf2ere_step(model, u, um1, h, ms, diag),
+        history=2, modal=True),
+    Method.STRSBDF2ERE: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        reduction.strsbdf2ere_step(model, u, h, ms, diag), modal=True),
+}
 
 
 @dataclass
@@ -32,88 +50,42 @@ class Advancer:
 
     def __init__(self, model, method: str, h: float,
                  newton: NewtonConfig = NewtonConfig(),
-                 red: ReductionConfig | None = None,
-                 bootstrap: Method = Method.SDIRK,
-                 krylov_m: int = expo.DEFAULT_KRYLOV_DIM,
-                 krylov_tol: float = expo.DEFAULT_KRYLOV_TOL):
-        method = method.upper().replace("-", "")
-        if method not in ALL_METHODS:
-            raise ValueError(f"unknown method {method!r}")
+                 red: ReductionConfig | None = None):
         self.model = model
-        self.method = method
+        self.entry = METHODS[Method(method.upper())]
         self.h = h
         self.newton = newton
-        self.bootstrap = bootstrap
-        self.krylov_m = krylov_m
-        self.krylov_tol = krylov_tol
         self.split: ModalSplit | None = None
-        if method in REDUCTION_METHODS:
-            self.red = red or ReductionConfig()
-        else:
-            self.red = None
+        self.red = (red or ReductionConfig()) if self.entry.modal else None
         self.last_diag: dict = {}
 
-    def _ensure_split(self, u):
-        if self.split is None:
-            self.split = reduction.modal_split(
-                self.model, u, self.red.s, self.red.policy, self.red.every_n)
-        else:
-            self.split = reduction.refresh_split(self.model, u, self.split)
-        return self.split
-
     def step(self, state: SimState) -> SimState:
-        m, h, model = self.method, self.h, self.model
+        h, model = self.h, self.model
         u0 = state.u
         um1 = state.history.u if state.history is not None else None
         diag: dict = {}
-        if m in TWO_STEP and um1 is None:
+        if self.entry.history == 2 and um1 is None:
             # the bootstrap forward step is the first step of the run
             u0_new, um1 = steppers.bootstrap_history(
-                model, u0, h, self.bootstrap, self.newton)
+                model, u0, h, cfg=self.newton)
             self.last_diag = {"bootstrap": 1}
             return SimState.from_u(u0_new, state.t + h,
                                    history=SimState.from_u(um1, state.t))
 
-        if m in REDUCTION_METHODS:
-            ms = self._ensure_split(u0)
+        if self.entry.modal:
+            if self.split is None:
+                red = self.red
+                self.split = reduction.modal_split(
+                    model, u0, red.s, red.policy, red.every_n)
+            else:
+                self.split = reduction.refresh_split(model, u0, self.split)
+            ms = self.split
             diag["s"] = ms.s
             diag["lam_min"] = float(ms.lam.min()) if ms.s else 0.0
             diag["lam_max"] = float(ms.lam.max()) if ms.s else 0.0
             diag["refreshes"] = ms.refresh_count
 
-        if m == "BE":
-            u1 = steppers.step_be(model, u0, h, self.newton)
-        elif m == "SI":
-            u1 = steppers.step_si(model, u0, h)
-        elif m == "TR":
-            u1 = steppers.step_tr(model, u0, h, self.newton)
-        elif m == "TRBDF2":
-            u1 = steppers.step_trbdf2(model, u0, h, self.newton)
-        elif m == "STRBDF2":
-            u1 = steppers.step_strbdf2(model, u0, h)
-        elif m == "SDIRK":
-            u1 = steppers.step_sdirk(model, u0, h, self.newton)
-        elif m == "SSDIRK":
-            u1 = steppers.step_ssdirk(model, u0, h)
-        elif m == "BDF2":
-            u1 = steppers.step_bdf2(model, u0, um1, h, self.newton)
-        elif m == "SBDF2":
-            u1 = steppers.step_sbdf2(model, u0, um1, h)
-        elif m == "ERE":
-            u1 = expo.ere_step(model, u0, h, self.krylov_m, self.krylov_tol)
-        elif m == "SIERE":
-            u1 = reduction.siere_step(model, u0, h, self.split, diag)
-        elif m == "BEERE":
-            u1 = reduction.beere_step(model, u0, h, self.split, self.newton)
-        elif m == "BDF2ERE":
-            u1 = reduction.bdf2ere_step(model, u0, um1, h, self.split,
-                                        self.newton)
-        elif m == "SBDF2ERE":
-            u1 = reduction.sbdf2ere_step(model, u0, um1, h, self.split, diag)
-        elif m == "STRSBDF2ERE":
-            u1 = reduction.strsbdf2ere_step(model, u0, h, self.split, diag)
-        else:  # pragma: no cover
-            raise AssertionError(m)
+        u1 = self.entry.step(model, u0, um1, h, self.newton, self.split, diag)
 
         if self.model.contact is not None:
             n = model.ndof

@@ -75,7 +75,6 @@ class _ElementData:
     """Precomputed per-element quantities shared by all assembly routines."""
 
     def __init__(self, mesh: TetMesh):
-        self.mesh = mesh
         dm = mesh.edge_matrices()
         self.vol = np.linalg.det(dm) / 6.0
         self.dminv = np.linalg.inv(dm)
@@ -83,7 +82,6 @@ class _ElementData:
         n = np.empty((mesh.num_tets, 4, 3))
         n[:, 1:, :] = self.dminv
         n[:, 0, :] = -self.dminv.sum(axis=1)
-        self.n = n
         # G (nt, 9, 12) maps the 12 vertex dofs to vec_F (column-major).
         eye3 = np.eye(3)
         self.g = np.einsum("eaj,ik->ejiak", n, eye3).reshape(mesh.num_tets, 9, 12)
@@ -94,13 +92,10 @@ class _ElementData:
         self.dofs = dofs
 
 
-_CACHE: "weakref.WeakKeyDictionary[TetMesh, _ElementData]" = None
+_CACHE = weakref.WeakKeyDictionary()  # TetMesh -> _ElementData
 
 
 def _edata(mesh: TetMesh) -> _ElementData:
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = weakref.WeakKeyDictionary()
     if mesh not in _CACHE:
         _CACHE[mesh] = _ElementData(mesh)
     return _CACHE[mesh]

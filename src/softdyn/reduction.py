@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -13,7 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import expo
-from .steppers import NewtonConfig, StepFailure, newton_solve
+from .steppers import (NewtonConfig, StepFailure, _factorize,
+                       _implicit_matrix, newton_solve)
 
 DENSE_EIG_CUTOFF = 300
 
@@ -58,9 +60,13 @@ def smallest_eigpairs(k, m, s):
         lam, vec = scipy.linalg.eigh(kd, md)
         lam, vec = lam[:s], vec[:, :s]
     else:
+        # a fixed random start vector makes the result reproducible; a
+        # constant one is orthogonal to the antisymmetric modes of a
+        # mirror-symmetric mesh
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         try:
             lam, vec = spla.eigsh(sp.csr_matrix(kd), k=s, M=sp.csr_matrix(md),
-                                  sigma=-1e-8, which="LM")
+                                  sigma=-1e-8, which="LM", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise RuntimeError("eigensolver did not converge") from exc
         order = np.argsort(lam)
@@ -97,9 +103,9 @@ def modal_split(model, u, s, policy=RefreshPolicy.ONCE, every_n=1) -> ModalSplit
     return ms
 
 
-def refresh_split(model, u, ms: ModalSplit, force=False) -> ModalSplit:
+def refresh_split(model, u, ms: ModalSplit) -> ModalSplit:
     """Recompute eigenpairs per the split's policy; logs drift diagnostics."""
-    due = force or (ms.policy is RefreshPolicy.EVERY_STEP) or (
+    due = (ms.policy is RefreshPolicy.EVERY_STEP) or (
         ms.policy is RefreshPolicy.EVERY_N
         and ms.steps_since_refresh + 1 >= ms.every_n)
     if not due:
@@ -123,48 +129,41 @@ def refresh_split(model, u, ms: ModalSplit, force=False) -> ModalSplit:
 
 def split_forces(model, u, ms: ModalSplit):
     """(G, H) with G + H = F(u) and G supported on the modal subspace."""
-    n = model.ndof
     f_full = model.eval_F(u)
     g = project_G(model, ms, f_full)
     return g, f_full - g
 
 
-def project_G(model, ms: ModalSplit, fvec):
-    """Project a first-order vector onto the G (modal) component."""
+def _restrict(model, ms: ModalSplit, w):
+    """Modal coordinates (X^T M w_q, X^T M w_v) of a first-order vector."""
     n = model.ndof
-    top, bot = fvec[:n], fvec[n:]
-    x = ms.x
-    g = np.zeros_like(fvec)
-    if ms.s == 0:
-        return g
-    g[:n] = x @ (x.T @ (model.mass * top))
-    # bottom block is an acceleration: f = M a, f_G = M X X^T f, so
-    # a_G = X X^T (M a).
-    g[n:] = x @ (x.T @ (model.mass * bot))
-    return g
+    return ms.x.T @ (model.mass * w[:n]), ms.x.T @ (model.mass * w[n:])
+
+
+def _prolong(ms: ModalSplit, yq, yv):
+    """First-order vector (X yq, X yv) from modal coordinates."""
+    return np.concatenate([ms.x @ yq, ms.x @ yv])
+
+
+def project_G(model, ms: ModalSplit, fvec):
+    """Project a first-order vector onto the G (modal) component.
+
+    The bottom block is an acceleration: f = M a, f_G = M X X^T f, so
+    a_G = X X^T (M a)."""
+    return _prolong(ms, *_restrict(model, ms, fvec))
+
+
+def _jg_apply(model, ms: ModalSplit, w):
+    """J_G w via the modal blocks [[0, 1], [-lam, 0]]."""
+    yq, yv = _restrict(model, ms, w)
+    return _prolong(ms, yv, -(ms.lam * yq))
 
 
 def build_JG_JH(model, u, ms: ModalSplit):
     """(apply_JG, apply_JH) as matrix-free callables; J_H = J_full - J_G."""
-    n = model.ndof
     j = model.eval_J(u)
-    x, lam = ms.x, ms.lam
-
-    def apply_jg(w):
-        out = np.zeros_like(w)
-        if ms.s == 0:
-            return out
-        wq, wv = w[:n], w[n:]
-        mv = x.T @ (model.mass * wv)
-        mq = x.T @ (model.mass * wq)
-        out[:n] = x @ mv
-        out[n:] = -x @ (lam * mq)
-        return out
-
-    def apply_jh(w):
-        return j @ w - apply_jg(w)
-
-    return apply_jg, apply_jh
+    apply_jg = partial(_jg_apply, model, ms)
+    return apply_jg, lambda w: j @ w - apply_jg(w)
 
 
 class SmwSolver:
@@ -176,12 +175,7 @@ class SmwSolver:
 
     def __init__(self, a, y=None, z=None):
         self.n_solves = 0
-        if sp.issparse(a):
-            self._lu = spla.splu(a.tocsc())
-            self._solve_a = self._lu.solve
-        else:
-            lu = scipy.linalg.lu_factor(np.asarray(a, dtype=float))
-            self._solve_a = lambda r: scipy.linalg.lu_solve(lu, r)
+        self._solve_a = _factorize(a)
         self.y = y if y is not None and y.size else None
         self.z = z if z is not None and z.size else None
         if self.y is not None:
@@ -217,8 +211,6 @@ def _smw_factors(model, ms: ModalSplit, coeff):
     """
     n = model.ndof
     s = ms.s
-    if s == 0:
-        return None, None
     x, lam = ms.x, ms.lam
     mx = model.mass[:, None] * x
     y = np.zeros((2 * n, 2 * s))
@@ -232,30 +224,16 @@ def _smw_factors(model, ms: ModalSplit, coeff):
 
 def _h_solver(model, u_ref, ms: ModalSplit, coeff) -> SmwSolver:
     """Factorized solver for (I - coeff * J_H(u_ref))."""
-    j = model.eval_J(u_ref)
-    n2 = j.shape[0]
-    a = (sp.identity(n2) - coeff * j).tocsc() if sp.issparse(j) \
-        else np.eye(n2) - coeff * np.asarray(j)
     y, z = _smw_factors(model, ms, coeff)
-    return SmwSolver(a, y, z)
+    return SmwSolver(_implicit_matrix(model, u_ref, coeff), y, z)
 
 
 def _ere_subspace_term(model, u, ms: ModalSplit, h):
     """h*phi1(h J_G) G(u), evaluated in the modal subspace and prolonged."""
-    n = model.ndof
     if ms.s == 0:
-        return np.zeros(2 * n)
-    f = model.eval_F(u)
-    x = ms.x
-    # reduced state: G^r = (X^T M v, X^T f) with f = M * acceleration block
-    v = u[n:]
-    gq = x.T @ (model.mass * v)
-    gv = x.T @ (model.mass * f[n:])
-    pq, pv = expo.phi1_modal_apply(ms.lam, h, gq, gv)
-    out = np.zeros(2 * n)
-    out[:n] = x @ pq
-    out[n:] = x @ pv
-    return out
+        return np.zeros(2 * model.ndof)
+    gq, gv = _restrict(model, ms, model.eval_F(u))
+    return _prolong(ms, *expo.phi1_modal_apply(ms.lam, h, gq, gv))
 
 
 def siere_step(model, u0, h, ms: ModalSplit, diag=None):
@@ -266,22 +244,26 @@ def siere_step(model, u0, h, ms: ModalSplit, diag=None):
     u1 = u0 + solver.solve(h * h0 + ere)
     if diag is not None:
         diag["smw_solves"] = solver.n_solves
-        diag["s"] = ms.s
     return u1
+
+
+def _h_implicit(model, ms: ModalSplit, u0, base, c, extra, cfg):
+    """Solve u = base + c H(u) + extra by Newton from u0, each iteration
+    one SMW-factored I - c J_H."""
+
+    def residual(u):
+        return u - base - c * split_forces(model, u, ms)[1] - extra
+
+    def jacobian(u):
+        return _h_solver(model, u, ms, c)
+
+    return newton_solve(residual, jacobian, u0, cfg)
 
 
 def beere_step(model, u0, h, ms: ModalSplit, cfg: NewtonConfig = NewtonConfig()):
     """BEERE: u1 = u0 + h H(u1) + h phi1(h J_G) G(u0), implicit in H."""
     ere = _ere_subspace_term(model, u0, ms, h)
-
-    def residual(u):
-        _, hh = split_forces(model, u, ms)
-        return u - u0 - h * hh - ere
-
-    def jacobian(u):
-        return _h_solver(model, u, ms, h)
-
-    return newton_solve(residual, jacobian, u0, cfg)
+    return _h_implicit(model, ms, u0, u0, h, ere, cfg)
 
 
 def bdf2ere_step(model, u0, um1, h, ms: ModalSplit,
@@ -289,16 +271,7 @@ def bdf2ere_step(model, u0, um1, h, ms: ModalSplit,
     """BDF2ERE: ERE on the modal part, BE-like implicit solve for the rest."""
     ere = _ere_subspace_term(model, u0, ms, h)
     uhat = (4.0 * u0 - um1 + 2.0 * ere) / 3.0
-    ch = 2.0 * h / 3.0
-
-    def residual(u):
-        _, hh = split_forces(model, u, ms)
-        return u - uhat - ch * hh
-
-    def jacobian(u):
-        return _h_solver(model, u, ms, ch)
-
-    return newton_solve(residual, jacobian, u0, cfg)
+    return _h_implicit(model, ms, u0, uhat, 2.0 * h / 3.0, 0.0, cfg)
 
 
 def sbdf2ere_step(model, u0, um1, h, ms: ModalSplit, diag=None):
@@ -317,29 +290,9 @@ def _exp_g_apply(model, ms: ModalSplit, c, w):
     """expm(c * J_G) w: identity off the subspace, exact 2x2 blocks on it."""
     if ms.s == 0:
         return w
-    n = model.ndof
-    x = ms.x
-    yq = x.T @ (model.mass * w[:n])
-    yv = x.T @ (model.mass * w[n:])
+    yq, yv = _restrict(model, ms, w)
     zq, zv = expo.exp_modal_apply(ms.lam, c, yq, yv)
-    out = w.copy()
-    out[:n] += x @ (zq - yq)
-    out[n:] += x @ (zv - yv)
-    return out
-
-
-def _jg_apply(model, ms: ModalSplit, w):
-    """J_G w via the modal blocks."""
-    n = model.ndof
-    out = np.zeros_like(w)
-    if ms.s == 0:
-        return out
-    x = ms.x
-    mq = x.T @ (model.mass * w[:n])
-    mv = x.T @ (model.mass * w[n:])
-    out[:n] = x @ mv
-    out[n:] = -x @ (ms.lam * mq)
-    return out
+    return w + _prolong(ms, zq - yq, zv - yv)
 
 
 def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None,
@@ -352,12 +305,8 @@ def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None,
     (a stage-2 rhs that treats the modal exponential explicitly is not)
     and reduces to plain STR-SBDF2 at s = 0.
     """
-    n2 = 2 * model.ndof
     f0 = model.eval_F(u0)
-    j0 = model.eval_J(u0)
-    a1 = (sp.identity(n2) - (h / 4.0) * j0).tocsc() if sp.issparse(j0) \
-        else np.eye(n2) - (h / 4.0) * np.asarray(j0)
-    s1 = SmwSolver(a1)
+    s1 = SmwSolver(_implicit_matrix(model, u0, h / 4.0))
     u_half = u0 + 0.5 * s1.solve(h * f0)
 
     # modal operations act on deviations from rest; propagating absolute
@@ -371,5 +320,4 @@ def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None,
     u1 = u_half + solver.solve(u_prop - u_half + (h / 3.0) * h_half)
     if diag is not None:
         diag["smw_solves"] = s1.n_solves + solver.n_solves
-        diag["s"] = ms.s
     return (u1, u_half) if return_stage else u1

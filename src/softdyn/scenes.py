@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import contact as ct
-from .driver import ALL_METHODS, ReductionConfig
+from .driver import ReductionConfig
 from .fem import Material, MaterialParams, RayleighParams
 from .meshes import load_mesh
 from .reduction import RefreshPolicy
-from .steppers import NewtonConfig
+from .steppers import Method, NewtonConfig
 from .system import ForceModel
 
 
@@ -40,8 +38,10 @@ class SceneConfig:
             raise SceneError("duration must be > 0")
         if self.cadence <= 0:
             raise SceneError("cadence must be > 0")
-        if self.method.upper() not in ALL_METHODS:
-            raise SceneError(f"unknown method {self.method!r}")
+        try:
+            Method(self.method.upper())
+        except ValueError:
+            raise SceneError(f"unknown method {self.method!r}") from None
 
 
 def _take(d, allowed, where):
@@ -88,19 +88,16 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
 
     con = None
     if "contact" in data:
-        cd = data["contact"]
+        cd = dict(data["contact"])
         _take(cd, {"surfaces", "delta", "kappa", "mu", "epsilon"}, "contact")
-        surfs = [_parse_surface(s, i) for i, s in enumerate(cd.get("surfaces", []))]
-        con = ct.ContactConfig(tuple(surfs), cd.get("delta", 1e-3),
-                               cd.get("kappa", 1.0), cd.get("mu", 0.0),
-                               cd.get("epsilon", 1e-3))
+        surfs = [_parse_surface(s, i) for i, s in enumerate(cd.pop("surfaces", []))]
+        con = ct.ContactConfig(tuple(surfs), **cd)
 
     sd = data["stepper"]
     _take(sd, {"method", "h", "newton"}, "stepper")
     nd = sd.get("newton", {})
     _take(nd, {"max_iters", "abs_tol", "rel_tol"}, "newton")
-    newton = NewtonConfig(nd.get("max_iters", 50), nd.get("abs_tol", 1e-10),
-                          nd.get("rel_tol", 1e-12))
+    newton = NewtonConfig(**nd)
     method = sd["method"]
     h = sd["h"]
     if h <= 0:
@@ -108,11 +105,10 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
 
     red = None
     if "reduction" in data:
-        rdd = data["reduction"]
+        rdd = dict(data["reduction"])
         _take(rdd, {"s", "refresh", "every_n"}, "reduction")
-        pol = rdd.get("refresh", "once")
-        red = ReductionConfig(rdd.get("s", 5), RefreshPolicy(pol),
-                              rdd.get("every_n", 1))
+        red = ReductionConfig(policy=RefreshPolicy(rdd.pop("refresh", "once")),
+                              **rdd)
 
     return SceneConfig(mesh_path, mat, ray, grav, con, method, h, newton, red,
                        data["duration"], data["output_cadence"])

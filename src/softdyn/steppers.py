@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +25,8 @@ SDIRK_BETA = np.sqrt(2.0) / 4.0
 
 # A semi-implicit step that inflates ||F|| by more than this gets flagged.
 DIVERGENCE_FACTOR = 1e6
+# Newton's line search halves the step at most this many times.
+MAX_HALVINGS = 30
 
 
 class Method(enum.Enum):
@@ -36,15 +39,24 @@ class Method(enum.Enum):
     STRBDF2 = "STRBDF2"
     SDIRK = "SDIRK"
     SSDIRK = "SSDIRK"
+    ERE = "ERE"
+    SIERE = "SIERE"
+    BEERE = "BEERE"
+    BDF2ERE = "BDF2ERE"
+    SBDF2ERE = "SBDF2ERE"
+    STRSBDF2ERE = "STRSBDF2ERE"
 
 
-TWO_STEP_METHODS = {Method.BDF2, Method.SBDF2}
+@dataclass(frozen=True)
+class MethodEntry:
+    """One row of the method table: ``step(model, u0, um1, h, newton,
+    split, diag)`` advances one step, reading the previous state ``um1``
+    when ``history`` is 2 and the ModalSplit ``split`` when ``modal``; it
+    may fill the dict ``diag`` with counts."""
 
-
-class Scaling(enum.Enum):
-    IDENTITY = "identity"
-    DIAGONAL_ROWS = "diagonal_rows"
-    FROZEN_JACOBIAN_INVERSE = "frozen_jacobian_inverse"
+    step: Callable
+    history: int = 1
+    modal: bool = False
 
 
 @dataclass(frozen=True)
@@ -52,30 +64,12 @@ class NewtonConfig:
     max_iters: int = 50
     abs_tol: float = 1e-10
     rel_tol: float = 1e-12
-    scaling: Scaling = Scaling.IDENTITY
-    backtrack_factor: float = 0.5
-    max_halvings: int = 30
-    frozen_jacobian: bool = False
-    # if > 0, accept a stalled line search with a warning when the residual
-    # is already below this (useful with inexact Jacobians, e.g. friction)
-    stall_accept: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be > 0")
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    method: Method = Method.BE
-    h: float = 1e-2
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step size must be > 0")
 
 
 class StepFailure(RuntimeError):
@@ -97,15 +91,24 @@ def _factorize(jmat):
         lu = spla.splu(jmat.tocsc())
         return lu.solve
     jmat = np.asarray(jmat)
-    if jmat.ndim == 0 or jmat.shape == (1, 1):
-        val = float(jmat.reshape(())) if jmat.ndim == 0 else float(jmat[0, 0])
+    if jmat.shape == (1, 1):
+        val = float(jmat[0, 0])
         return lambda r: r / val
     lu = scipy.linalg.lu_factor(jmat)
     return lambda r: scipy.linalg.lu_solve(lu, r)
 
 
+def _implicit_matrix(model, u, c):
+    """I - c J(u): sparse CSC when J is sparse, dense otherwise."""
+    j = model.eval_J(u)
+    n = j.shape[0]
+    if sp.issparse(j):
+        return (sp.identity(n) - c * j).tocsc()
+    return np.eye(n) - c * np.asarray(j)
+
+
 def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
-    """Damped Newton with backtracking on the merit 0.5*||B g||^2.
+    """Damped Newton with step halving on the merit ||g||^2.
 
     ``jacobian_fn(u)`` returns the residual Jacobian (dense, sparse, or an
     object with .solve). Raises StepFailure on non-convergence.
@@ -113,56 +116,29 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
     u = np.array(guess, dtype=float)
     g = residual_fn(u)
     g0_norm = np.linalg.norm(g)
-    scale = None
-    if cfg.scaling is Scaling.DIAGONAL_ROWS:
-        j0 = jacobian_fn(u)
-        d = np.abs(j0.diagonal()) if hasattr(j0, "diagonal") else np.abs(np.diag(j0))
-        scale = 1.0 / np.maximum(d, 1e-12)
-    elif cfg.scaling is Scaling.FROZEN_JACOBIAN_INVERSE:
-        scale = _factorize(jacobian_fn(u))
-
-    def merit(g):
-        if scale is None:
-            return 0.5 * float(np.dot(g, g))
-        bg = scale(g) if callable(scale) else scale * g
-        return 0.5 * float(np.dot(bg, bg))
-
-    solve = None
-    for it in range(cfg.max_iters):
+    for it in range(cfg.max_iters + 1):
         gnorm = np.linalg.norm(g)
         if gnorm <= cfg.abs_tol or gnorm <= cfg.rel_tol * g0_norm:
             return u
-        if solve is None or not cfg.frozen_jacobian:
-            solve = _factorize(jacobian_fn(u))
+        if it == cfg.max_iters:
+            raise StepFailure(f"Newton did not converge ({gnorm:.3e})", u,
+                              gnorm)
+        solve = _factorize(jacobian_fn(u))
         try:
             du = -solve(g)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise StepFailure(f"linear solve failed: {exc}", u, gnorm) from exc
-        phi0 = merit(g)
+        phi0 = np.dot(g, g)
         step = 1.0
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             u_try = u + step * du
             g_try = residual_fn(u_try)
-            if merit(g_try) < phi0 or not np.isfinite(phi0):
+            if np.dot(g_try, g_try) < phi0 or not np.isfinite(phi0):
                 break
-            step *= cfg.backtrack_factor
-            if step < 1e-12:
-                return _stall(u, gnorm, cfg, "line search stalled")
+            step *= 0.5
         else:
-            return _stall(u, gnorm, cfg, "line search exhausted")
+            raise StepFailure("line search exhausted", u, gnorm)
         u, g = u_try, g_try
-    gnorm = np.linalg.norm(g)
-    if gnorm <= cfg.abs_tol or gnorm <= cfg.rel_tol * g0_norm:
-        return u
-    raise StepFailure(f"Newton did not converge ({gnorm:.3e})", u, gnorm)
-
-
-def _stall(u, gnorm, cfg, msg):
-    if cfg.stall_accept > 0 and gnorm <= cfg.stall_accept:
-        warnings.warn(f"Newton {msg} at residual {gnorm:.3e}; accepting "
-                      "iterate (stall_accept)", stacklevel=3)
-        return u
-    raise StepFailure(msg, u, gnorm)
 
 
 def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
@@ -172,11 +148,7 @@ def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
         return u - base - coeff_h * model.eval_F(u)
 
     def jacobian(u):
-        j = model.eval_J(u)
-        n = j.shape[0]
-        if sp.issparse(j):
-            return (sp.identity(n) - coeff_h * j).tocsc()
-        return np.eye(n) - coeff_h * np.asarray(j)
+        return _implicit_matrix(model, u, coeff_h)
 
     try:
         return newton_solve(residual, jacobian, guess, cfg)
@@ -187,12 +159,7 @@ def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
 
 def _semi_implicit_solve(model, u_ref, coeff_h, rhs):
     """(I - coeff_h * J(u_ref))^{-1} rhs with a single factorization."""
-    j = model.eval_J(u_ref)
-    n = len(rhs)
-    if sp.issparse(j):
-        mat = (sp.identity(n) - coeff_h * j).tocsc()
-    else:
-        mat = np.eye(n) - coeff_h * np.asarray(j)
+    mat = _implicit_matrix(model, u_ref, coeff_h)
     try:
         return _factorize(mat)(rhs)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
@@ -251,16 +218,15 @@ def step_trbdf2(model, u0, h, cfg: NewtonConfig = NewtonConfig(),
     return (u1, u_half) if return_stage else u1
 
 
-def step_strbdf2(model, u0, h, return_stage=False):
+def step_strbdf2(model, u0, h):
     """Semi-implicit TR-BDF2 (one linear solve per stage)."""
     f0 = model.eval_F(u0)
     u_half = u0 + 0.5 * _semi_implicit_solve(model, u0, 0.25 * h, h * f0)
     f_half = model.eval_F(u_half)
     rhs = (u_half - u0) + h * f_half
-    j_ref = u_half
-    u1 = u_half + _semi_implicit_solve(model, j_ref, h / 3.0, rhs) / 3.0
+    u1 = u_half + _semi_implicit_solve(model, u_half, h / 3.0, rhs) / 3.0
     _divergence_guard(model, u0, u1)
-    return (u1, u_half) if return_stage else u1
+    return u1
 
 
 def step_sdirk(model, u0, h, cfg: NewtonConfig = NewtonConfig(),
@@ -274,7 +240,7 @@ def step_sdirk(model, u0, h, cfg: NewtonConfig = NewtonConfig(),
     return (u1, u_g) if return_stage else u1
 
 
-def step_ssdirk(model, u0, h, return_stage=False):
+def step_ssdirk(model, u0, h):
     """Semi-implicit SDIRK."""
     g, b = SDIRK_GAMMA, SDIRK_BETA
     f0 = model.eval_F(u0)
@@ -283,7 +249,35 @@ def step_ssdirk(model, u0, h, return_stage=False):
     rhs = (2.0 * b / g - 1.0) * (u_g - u0) + 0.5 * g * h * f_g
     u1 = u_g + _semi_implicit_solve(model, u_g, 0.5 * g * h, rhs)
     _divergence_guard(model, u0, u1)
-    return (u1, u_g) if return_stage else u1
+    return u1
+
+
+# The difference methods. driver.METHODS adds the exponential and modal
+# ones; no other place lists method names.
+METHODS = {
+    Method.BE: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag: step_be(model, u, h, cfg)),
+    Method.SI: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag: step_si(model, u, h)),
+    Method.TR: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag: step_tr(model, u, h, cfg)),
+    Method.BDF2: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        step_bdf2(model, u, um1, h, cfg), history=2),
+    Method.SBDF2: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        step_sbdf2(model, u, um1, h), history=2),
+    Method.TRBDF2: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        step_trbdf2(model, u, h, cfg)),
+    Method.STRBDF2: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag: step_strbdf2(model, u, h)),
+    Method.SDIRK: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag:
+        step_sdirk(model, u, h, cfg)),
+    Method.SSDIRK: MethodEntry(
+        lambda model, u, um1, h, cfg, ms, diag: step_ssdirk(model, u, h)),
+}
 
 
 def bootstrap_history(model, u0, h, policy: Method = Method.SDIRK,
@@ -292,19 +286,10 @@ def bootstrap_history(model, u0, h, policy: Method = Method.SDIRK,
     configured one-step method, then relabel (u0 -> um1, u1 -> u0).
 
     Returns (u0_new, um1_new)."""
-    one_step = {
-        Method.BE: lambda: step_be(model, u0, h, cfg),
-        Method.SI: lambda: step_si(model, u0, h),
-        Method.TR: lambda: step_tr(model, u0, h, cfg),
-        Method.TRBDF2: lambda: step_trbdf2(model, u0, h, cfg),
-        Method.SDIRK: lambda: step_sdirk(model, u0, h, cfg),
-        Method.SSDIRK: lambda: step_ssdirk(model, u0, h),
-        Method.STRBDF2: lambda: step_strbdf2(model, u0, h),
-    }
-    if policy not in one_step:
+    entry = METHODS.get(policy)
+    if entry is None or entry.history != 1:
         raise ValueError(f"{policy} is not a one-step bootstrap policy")
-    u1 = one_step[policy]()
-    return u1, u0
+    return entry.step(model, u0, None, h, cfg, None, None), u0
 
 
 # -- optimization-based solvers (integrable forces only) -----------------
@@ -347,83 +332,58 @@ def _hessian_of_potential(model, q):
     return k
 
 
-def _newton_polish(model, objective, v1, coeff, q_of_v, tol, max_iters=20):
-    """Drive the reduced gradient to stationarity with exact Hessian steps;
-    L-BFGS alone stalls well above round-off on stiff problems."""
+def _optimize(model, u0, q_base, v_target, coeff, tol):
+    """Minimize 0.5*||v1 - v_target||_M^2 + W(q_base + coeff*v1) over the
+    free velocities, starting from u0's; returns u1 = (q1, v1)."""
+    _check_integrable(model)
     free = model.free
+    mass = model.mass
+    v0 = u0[model.ndof:]
+
+    def objective(v1f):
+        v1 = np.where(free, v1f, 0.0)
+        q1 = q_base + coeff * v1
+        dv = v1 - v_target
+        val = 0.5 * float(np.dot(dv, mass * dv)) + _potential(model, q1)
+        grad = mass * dv + coeff * _potential_grad(model, q1)
+        return val, np.where(free, grad, 0.0)
+
+    res = scipy.optimize.minimize(objective, np.where(free, v0, 0.0),
+                                  jac=True, method="L-BFGS-B",
+                                  options={"gtol": tol, "ftol": 0.0,
+                                           "maxiter": 2000})
+    # L-BFGS alone stalls well above round-off on stiff problems; exact
+    # Hessian steps drive the reduced gradient to stationarity
+    v1 = np.where(free, res.x, 0.0)
     idx = np.nonzero(free)[0]
-    for _ in range(max_iters):
+    for _ in range(20):
         _, grad = objective(v1)
         if np.linalg.norm(grad) <= tol * max(1.0, np.linalg.norm(v1)):
             break
-        hess = sp.diags(model.mass) + coeff * coeff * _hessian_of_potential(
-            model, q_of_v(np.where(free, v1, 0.0)))
-        sub = hess.tocsr()[idx][:, idx]
-        step = spla.spsolve(sub, grad[idx])
+        hess = sp.diags(mass) + coeff * coeff * _hessian_of_potential(
+            model, q_base + coeff * np.where(free, v1, 0.0))
+        step = spla.spsolve(hess.tocsr()[idx][:, idx], grad[idx])
         if not np.all(np.isfinite(step)):
             break
         v1 = v1.copy()
         v1[idx] -= step
-    return v1
+    v1 = np.where(free, v1, 0.0)
+    grad_norm = np.linalg.norm(objective(v1)[1])
+    if grad_norm > max(100 * tol, 1e-6):
+        raise StepFailure(f"optimizer stationarity {grad_norm:.3e}", res.x)
+    return np.concatenate([q_base + coeff * v1, v1])
 
 
 def optimize_be(model, u0, h, tol=1e-10):
     """BE via minimizing 0.5*||v1 - v0||_M^2 + W(q0 + h v1)."""
-    _check_integrable(model)
     n = model.ndof
-    q0, v0 = u0[:n], u0[n:]
-    free = model.free
-    mass = model.mass
-
-    def objective(v1f):
-        v1 = np.where(free, v1f, 0.0)
-        q1 = q0 + h * v1
-        dv = v1 - v0
-        val = 0.5 * float(np.dot(dv, mass * dv)) + _potential(model, q1)
-        grad = mass * dv + h * _potential_grad(model, q1)
-        return val, np.where(free, grad, 0.0)
-
-    res = scipy.optimize.minimize(objective, np.where(free, v0, 0.0),
-                                  jac=True, method="L-BFGS-B",
-                                  options={"gtol": tol, "ftol": 0.0,
-                                           "maxiter": 2000})
-    v1 = _newton_polish(model, objective, np.where(free, res.x, 0.0),
-                        h, lambda v: q0 + h * v, tol)
-    v1 = np.where(free, v1, 0.0)
-    grad_norm = np.linalg.norm(objective(v1)[1])
-    if grad_norm > max(100 * tol, 1e-6):
-        raise StepFailure(f"optimizer stationarity {grad_norm:.3e}", res.x)
-    return np.concatenate([q0 + h * v1, v1])
+    return _optimize(model, u0, u0[:n], u0[n:], h, tol)
 
 
 def optimize_bdf2(model, u0, um1, h, tol=1e-10):
     """BDF2 via minimizing 0.5*||v1 - vtilde||_M^2 + W(q1)."""
-    _check_integrable(model)
     n = model.ndof
     q0, v0 = u0[:n], u0[n:]
     qm1, vm1 = um1[:n], um1[n:]
-    vt = v0 + (v0 - vm1) / 3.0
-    free = model.free
-    mass = model.mass
-    ch = 2.0 * h / 3.0
-
-    def objective(v1f):
-        v1 = np.where(free, v1f, 0.0)
-        q1 = q0 + (q0 - qm1) / 3.0 + ch * v1
-        dv = v1 - vt
-        val = 0.5 * float(np.dot(dv, mass * dv)) + _potential(model, q1)
-        grad = mass * dv + ch * _potential_grad(model, q1)
-        return val, np.where(free, grad, 0.0)
-
-    res = scipy.optimize.minimize(objective, np.where(free, v0, 0.0),
-                                  jac=True, method="L-BFGS-B",
-                                  options={"gtol": tol, "ftol": 0.0,
-                                           "maxiter": 2000})
-    v1 = _newton_polish(model, objective, np.where(free, res.x, 0.0),
-                        ch, lambda v: q0 + (q0 - qm1) / 3.0 + ch * v, tol)
-    v1 = np.where(free, v1, 0.0)
-    grad_norm = np.linalg.norm(objective(v1)[1])
-    if grad_norm > max(100 * tol, 1e-6):
-        raise StepFailure(f"optimizer stationarity {grad_norm:.3e}", res.x)
-    q1 = q0 + (q0 - qm1) / 3.0 + ch * v1
-    return np.concatenate([q1, v1])
+    return _optimize(model, u0, q0 + (q0 - qm1) / 3.0, v0 + (v0 - vm1) / 3.0,
+                     2.0 * h / 3.0, tol)

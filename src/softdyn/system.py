@@ -7,7 +7,7 @@ are masked to zero; mass is applied explicitly (diagonal lumped M).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +55,6 @@ class ForceModel:
         self.gravity = np.asarray(gravity, dtype=float)
         self.contact = contact
         self.ndof = mesh.num_dofs
-        self.dim = 2 * self.ndof
         self.mass = fem.lumped_masses(mesh, mat.density)
         self.minv = 1.0 / self.mass
         self.free = mesh.free_dof_mask()
@@ -97,14 +96,13 @@ class ForceModel:
             return None
         return ct.active_set(self.mesh, self.contact, q)
 
-    def total_force(self, q, v, cs=None):
+    def total_force(self, q, v):
         """f_tot = f_els + f_dmp + f_con + f_ext (unmasked)."""
         f = self.elastic_force(q) + self.gravity_force()
         if self.rayleigh.alpha or self.rayleigh.beta:
             f -= self.damping(q) @ v
         if self.contact is not None:
-            if cs is None:
-                cs = self._contact_set(q)
+            cs = self._contact_set(q)
             f += ct.contact_force(self.mesh, cs, self.contact, q)
             f += ct.friction_force(self.mesh, cs, self.contact, q, v)
         return f
@@ -146,13 +144,6 @@ class ForceModel:
         lin = j @ u
         return f[n:] - lin[n:]
 
-    # convenience aliases used by generic steppers
-    def F(self, u):
-        return self.eval_F(u)
-
-    def J(self, u):
-        return self.eval_J(u)
-
 
 def state_energy(model: ForceModel, state: SimState):
     """(kinetic, elastic, gravity) energy triple for one state."""
@@ -160,7 +151,3 @@ def state_energy(model: ForceModel, state: SimState):
     pe = model.elastic_energy(state.q)
     pg = model.gravity_energy(state.q)
     return ke, pe, pg
-
-
-def replace_history(state: SimState, prev: SimState | None) -> SimState:
-    return replace(state, history=prev)

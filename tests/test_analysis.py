@@ -83,11 +83,11 @@ def test_stability_function_values():
 
 def test_convergence_order_errors():
     m = LinearModel([[-1.0]])
-    step = lambda u, h: u / (1.0 - h * -1.0 * 1.0)  # noqa: E731  (BE)
+    step = lambda u, um1, h: u / (1.0 - h * -1.0 * 1.0)  # noqa: E731  (BE)
     with pytest.raises(ValueError):
         sd.convergence_order(step, np.array([1.0]), 1.0, [0.3], np.array([0.0]))
     # exact stepper hits the round-off floor and must refuse a slope
-    exact = lambda u, h: u * np.exp(-h)  # noqa: E731
+    exact = lambda u, um1, h: u * np.exp(-h)  # noqa: E731
     with pytest.raises(ArithmeticError):
         sd.convergence_order(exact, np.array([1.0]), 1.0, [0.1, 0.05],
                              np.array([np.exp(-1.0)]))

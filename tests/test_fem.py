@@ -122,3 +122,16 @@ def test_rayleigh_damping_combination(small_mesh):
     d = sd.rayleigh_damping(k, m, sd.RayleighParams(0.01, 0.3))
     ref = 0.01 * k.toarray() + 0.3 * m.toarray()
     assert np.abs(d.toarray() - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_element_cache_releases_mesh():
+    # the per-mesh element cache must not keep its (weak) key alive
+    import gc
+    import weakref
+    mesh = sd.box_mesh(2, 1, 1, 0.2, 0.1, 0.1)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    sd.elastic_force(mesh, mat, mesh.rest_positions.reshape(-1))
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None

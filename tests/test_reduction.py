@@ -301,3 +301,16 @@ def test_s_exceeds_free_raises():
     with pytest.raises(ValueError):
         reduction.modal_split(model, _rest_u(model),
                               int(model.free.sum()) + 1)
+
+
+def test_sparse_eigensolve_reproducible():
+    # above the dense cutoff (396 free dofs) two splits of one state agree
+    # bit for bit
+    mesh = sd.beam_mesh(12, 3, 2, 1.0, 0.25, 0.25)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8), None)
+    assert int(model.free.sum()) > reduction.DENSE_EIG_CUTOFF
+    a = reduction.modal_split(model, _rest_u(model), 6)
+    b = reduction.modal_split(model, _rest_u(model), 6)
+    np.testing.assert_array_equal(a.lam, b.lam)
+    np.testing.assert_array_equal(a.x, b.x)

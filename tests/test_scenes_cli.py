@@ -60,6 +60,7 @@ def test_bad_values_rejected(scene_dir):
     d, data = scene_dir
     cases = [
         ("stepper", {"method": "NOPE", "h": 0.01}),
+        ("stepper", {"method": "TR-BDF2", "h": 0.01}),
         ("stepper", {"method": "BE", "h": -1.0}),
         ("duration", -2.0),
         ("gravity", [0.0, 1.0]),

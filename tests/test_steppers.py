@@ -95,15 +95,11 @@ def test_order_one_step(name, order):
     m = LinearModel([[0.0, 1.0], [-9.0, -0.4]], [0.0, 1.2])
     u0 = np.array([0.8, -0.3])
     ref = m.exact(u0, 1.0)
-    step = {
-        "BE": lambda u, h: st.step_be(m, u, h, TIGHT),
-        "SI": lambda u, h: st.step_si(m, u, h),
-        "TR": lambda u, h: st.step_tr(m, u, h, TIGHT),
-        "TRBDF2": lambda u, h: st.step_trbdf2(m, u, h, TIGHT),
-        "STRBDF2": lambda u, h: st.step_strbdf2(m, u, h),
-        "SDIRK": lambda u, h: st.step_sdirk(m, u, h, TIGHT),
-        "SSDIRK": lambda u, h: st.step_ssdirk(m, u, h),
-    }[name]
+    entry = st.METHODS[Method(name)]
+
+    def step(u, um1, h):
+        return entry.step(m, u, um1, h, TIGHT, None, None)
+
     slope = sd.convergence_order(step, u0, 1.0, [0.1, 0.05, 0.025, 0.0125], ref)
     assert abs(slope - order) < 0.1
 
