@@ -15,7 +15,8 @@ import scipy.sparse.linalg as spla
 
 from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
-                       _implicit_matrix, newton_solve)
+                       _implicit_matrix, _solve_stage)
+from .steppers import newton_solve  # noqa: F401  (re-exported)
 
 DENSE_EIG_CUTOFF = 300
 
@@ -54,10 +55,9 @@ def smallest_eigpairs(k, m, s):
         raise ValueError(f"s={s} exceeds dimension {n}")
     if s == 0:
         return np.zeros((n, 0)), np.zeros(0)
-    kd = k.toarray() if sp.issparse(k) else np.asarray(k, dtype=float)
-    md = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
     if n <= DENSE_EIG_CUTOFF:
-        lam, vec = scipy.linalg.eigh(kd, md)
+        lam, vec = scipy.linalg.eigh(sp.csr_matrix(k).toarray(),
+                                     sp.csr_matrix(m).toarray())
         lam, vec = lam[:s], vec[:, :s]
     else:
         # a fixed random start vector makes the result reproducible; a
@@ -65,7 +65,7 @@ def smallest_eigpairs(k, m, s):
         # mirror-symmetric mesh
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         try:
-            lam, vec = spla.eigsh(sp.csr_matrix(kd), k=s, M=sp.csr_matrix(md),
+            lam, vec = spla.eigsh(sp.csr_matrix(k), k=s, M=sp.csr_matrix(m),
                                   sigma=-1e-8, which="LM", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise RuntimeError("eigensolver did not converge") from exc
@@ -73,7 +73,7 @@ def smallest_eigpairs(k, m, s):
         lam, vec = lam[order], vec[:, order]
     # enforce M-orthonormality and sign convention
     for i in range(s):
-        nrm = np.sqrt(vec[:, i] @ (md @ vec[:, i]))
+        nrm = np.sqrt(vec[:, i] @ (m @ vec[:, i]))
         vec[:, i] /= nrm
         j = np.argmax(np.abs(vec[:, i]))
         if vec[j, i] < 0:
@@ -90,10 +90,8 @@ def modal_split(model, u, s, policy=RefreshPolicy.ONCE, every_n=1) -> ModalSplit
     nfree = int(free.sum())
     if s > nfree:
         raise ValueError(f"s={s} exceeds free dimension {nfree}")
-    k = model.stiffness(q)
-    kd = (k.toarray() if sp.issparse(k) else np.asarray(k))[np.ix_(free, free)]
-    md = np.diag(model.mass[free])
-    xf, lam = smallest_eigpairs(kd, md, s)
+    kf = sp.csr_matrix(model.stiffness(q))[free][:, free]
+    xf, lam = smallest_eigpairs(kf, sp.diags(model.mass[free]), s)
     x = np.zeros((n, s))
     x[free] = xf
     neg = int((lam < 0).sum())
@@ -179,16 +177,14 @@ class SmwSolver:
         self.y = y if y is not None and y.size else None
         self.z = z if z is not None and z.size else None
         if self.y is not None:
-            ainv_y = np.column_stack([self._solve_a(self.y[:, i])
-                                      for i in range(self.y.shape[1])])
-            cap = np.eye(self.y.shape[1]) + self.z.T @ ainv_y
+            self._ainv_y = self._solve_a(self.y)
+            cap = np.eye(self.y.shape[1]) + self.z.T @ self._ainv_y
             try:
                 self._cap_lu = scipy.linalg.lu_factor(cap)
             except scipy.linalg.LinAlgError as exc:
                 raise StepFailure("singular SMW capacitance matrix") from exc
             if np.abs(np.diag(self._cap_lu[0])).min() < 1e-14:
                 raise StepFailure("singular SMW capacitance matrix")
-            self._ainv_y = ainv_y
 
     def solve(self, rhs):
         self.n_solves += 1
@@ -236,54 +232,47 @@ def _ere_subspace_term(model, u, ms: ModalSplit, h):
     return _prolong(ms, *expo.phi1_modal_apply(ms.lam, h, gq, gv))
 
 
-def siere_step(model, u0, h, ms: ModalSplit, diag=None):
-    """SIERE: u1 = u0 + (I - h J_H)^{-1}(h H(u0) + h phi1(h J_G) G(u0))."""
-    g0, h0 = split_forces(model, u0, ms)
+def _h_implicit(model, u0, um1, h, ms: ModalSplit, cfg, diag=None):
+    """BEERE (um1 None) or BDF2ERE by _solve_stage from u0, one SMW-factored
+    I - c J_H per iteration; diag["smw_solves"] counts the solves."""
     ere = _ere_subspace_term(model, u0, ms, h)
-    solver = _h_solver(model, u0, ms, h)
-    u1 = u0 + solver.solve(h * h0 + ere)
-    if diag is not None:
-        diag["smw_solves"] = solver.n_solves
-    return u1
-
-
-def _h_implicit(model, ms: ModalSplit, u0, base, c, extra, cfg):
-    """Solve u = base + c H(u) + extra by Newton from u0, each iteration
-    one SMW-factored I - c J_H."""
+    if um1 is None:
+        base, c, extra = u0, h, ere
+    else:
+        base, c, extra = (4.0 * u0 - um1 + 2.0 * ere) / 3.0, 2.0 * h / 3.0, 0.0
+    solvers = []
 
     def residual(u):
         return u - base - c * split_forces(model, u, ms)[1] - extra
 
     def jacobian(u):
-        return _h_solver(model, u, ms, c)
+        solvers.append(_h_solver(model, u, ms, c))
+        return solvers[-1]
 
-    return newton_solve(residual, jacobian, u0, cfg)
-
-
-def beere_step(model, u0, h, ms: ModalSplit, cfg: NewtonConfig = NewtonConfig()):
-    """BEERE: u1 = u0 + h H(u1) + h phi1(h J_G) G(u0), implicit in H."""
-    ere = _ere_subspace_term(model, u0, ms, h)
-    return _h_implicit(model, ms, u0, u0, h, ere, cfg)
+    u1 = _solve_stage(residual, jacobian, u0, cfg)
+    if diag is not None:
+        diag["smw_solves"] = sum(sv.n_solves for sv in solvers)
+    return u1
 
 
-def bdf2ere_step(model, u0, um1, h, ms: ModalSplit,
-                 cfg: NewtonConfig = NewtonConfig()):
-    """BDF2ERE: ERE on the modal part, BE-like implicit solve for the rest."""
-    ere = _ere_subspace_term(model, u0, ms, h)
-    uhat = (4.0 * u0 - um1 + 2.0 * ere) / 3.0
-    return _h_implicit(model, ms, u0, uhat, 2.0 * h / 3.0, 0.0, cfg)
+def beere_step(model, u0, h, ms: ModalSplit, cfg=NewtonConfig()):
+    """BEERE: u1 = u0 + h H(u1) + h phi1(h J_G) G(u0); cfg=None gives SIERE."""
+    return _h_implicit(model, u0, None, h, ms, cfg)
+
+
+def siere_step(model, u0, h, ms: ModalSplit, diag=None):
+    """SIERE: one Newton iteration of BEERE from u0, one SMW solve."""
+    return _h_implicit(model, u0, None, h, ms, None, diag)
+
+
+def bdf2ere_step(model, u0, um1, h, ms: ModalSplit, cfg=NewtonConfig()):
+    """BDF2ERE: ERE on the modal part, BDF2 in H; cfg=None gives SBDF2ERE."""
+    return _h_implicit(model, u0, um1, h, ms, cfg)
 
 
 def sbdf2ere_step(model, u0, um1, h, ms: ModalSplit, diag=None):
-    """Semi-implicit BDF2ERE: exactly one large (SMW) solve per step."""
-    _, h0 = split_forces(model, u0, ms)
-    ere = _ere_subspace_term(model, u0, ms, h)
-    solver = _h_solver(model, u0, ms, 2.0 * h / 3.0)
-    rhs = u0 - um1 + 2.0 * h * h0 + 2.0 * ere
-    u1 = u0 + solver.solve(rhs) / 3.0
-    if diag is not None:
-        diag["smw_solves"] = solver.n_solves
-    return u1
+    """SBDF2ERE: one Newton iteration of BDF2ERE from u0, one SMW solve."""
+    return _h_implicit(model, u0, um1, h, ms, None, diag)
 
 
 def _exp_g_apply(model, ms: ModalSplit, c, w):

@@ -1,5 +1,6 @@
 """Difference time steppers: BE, SI, TR, BDF2, TR-BDF2, SDIRK and their
-semi-implicit 'S' variants, plus Newton and optimization-based solvers.
+semi-implicit 'S' variants, plus Newton and optimization-based solvers. A
+semi-implicit method is its implicit twin in one-iteration mode (cfg=None).
 
 Steppers act on any system exposing ``eval_F(u)`` and ``eval_J(u)`` (J may
 be dense or sparse). The step size is kept constant by the caller.
@@ -123,9 +124,8 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
         if it == cfg.max_iters:
             raise StepFailure(f"Newton did not converge ({gnorm:.3e})", u,
                               gnorm)
-        solve = _factorize(jacobian_fn(u))
         try:
-            du = -solve(g)
+            du = -_factorize(jacobian_fn(u))(g)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise StepFailure(f"linear solve failed: {exc}", u, gnorm) from exc
         phi0 = np.dot(g, g)
@@ -141,8 +141,24 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
         u, g = u_try, g_try
 
 
+def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None):
+    """Solve residual_fn(u) = 0 from guess: Newton under cfg, or with cfg
+    None one undamped Newton iteration (one factorization and solve)."""
+    if cfg is not None:
+        return newton_solve(residual_fn, jacobian_fn, guess, cfg)
+    g = residual_fn(guess)
+    try:
+        u1 = guess - _factorize(jacobian_fn(guess))(g)
+        if not np.all(np.isfinite(u1)):
+            raise np.linalg.LinAlgError("non-finite state")
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise StepFailure(f"semi-implicit solve failed: {exc}", guess,
+                          np.linalg.norm(g)) from exc
+    return u1
+
+
 def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
-    """Solve u = base + coeff_h * F(u) by Newton."""
+    """Solve u = base + coeff_h * F(u) from guess by _solve_stage."""
 
     def residual(u):
         return u - base - coeff_h * model.eval_F(u)
@@ -151,19 +167,10 @@ def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
         return _implicit_matrix(model, u, coeff_h)
 
     try:
-        return newton_solve(residual, jacobian, guess, cfg)
+        return _solve_stage(residual, jacobian, guess, cfg)
     except StepFailure as exc:
         exc.stage = stage
         raise
-
-
-def _semi_implicit_solve(model, u_ref, coeff_h, rhs):
-    """(I - coeff_h * J(u_ref))^{-1} rhs with a single factorization."""
-    mat = _implicit_matrix(model, u_ref, coeff_h)
-    try:
-        return _factorize(mat)(rhs)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        raise StepFailure(f"semi-implicit solve failed: {exc}", u_ref) from exc
 
 
 def _divergence_guard(model, u0, u1):
@@ -176,14 +183,14 @@ def _divergence_guard(model, u0, u1):
     return flagged
 
 
-def step_be(model, u0, h, cfg: NewtonConfig = NewtonConfig()):
-    """Backward Euler: u1 = u0 + h F(u1)."""
+def step_be(model, u0, h, cfg: NewtonConfig | None = NewtonConfig()):
+    """Backward Euler: u1 = u0 + h F(u1); cfg=None gives SI."""
     return _implicit_stage(model, u0, h, u0, cfg)
 
 
 def step_si(model, u0, h):
-    """Semi-implicit BE: one Newton iteration from u0 (one linear solve)."""
-    u1 = u0 + _semi_implicit_solve(model, u0, h, h * model.eval_F(u0))
+    """Semi-implicit BE: one Newton iteration of step_be from u0."""
+    u1 = step_be(model, u0, h, None)
     _divergence_guard(model, u0, u1)
     return u1
 
@@ -194,23 +201,22 @@ def step_tr(model, u0, h, cfg: NewtonConfig = NewtonConfig()):
     return _implicit_stage(model, base, 0.5 * h, u0, cfg)
 
 
-def step_bdf2(model, u0, um1, h, cfg: NewtonConfig = NewtonConfig()):
-    """BDF2: u1 = u0 + (1/3)(u0 - um1 + 2 h F(u1))."""
+def step_bdf2(model, u0, um1, h, cfg: NewtonConfig | None = NewtonConfig()):
+    """BDF2: u1 = u0 + (1/3)(u0 - um1 + 2 h F(u1)); cfg=None gives SBDF2."""
     base = u0 + (u0 - um1) / 3.0
     return _implicit_stage(model, base, 2.0 * h / 3.0, u0, cfg)
 
 
 def step_sbdf2(model, u0, um1, h):
-    """Semi-implicit BDF2: one Newton iteration from u0."""
-    rhs = (u0 - um1) / 3.0 + (2.0 * h / 3.0) * model.eval_F(u0)
-    u1 = u0 + _semi_implicit_solve(model, u0, 2.0 * h / 3.0, rhs)
+    """Semi-implicit BDF2: one Newton iteration of step_bdf2 from u0."""
+    u1 = step_bdf2(model, u0, um1, h, None)
     _divergence_guard(model, u0, u1)
     return u1
 
 
-def step_trbdf2(model, u0, h, cfg: NewtonConfig = NewtonConfig(),
+def step_trbdf2(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
                 return_stage=False):
-    """TR-BDF2: trapezoidal to the midpoint, then BDF2 over the step."""
+    """TR-BDF2: TR to the midpoint, then BDF2; cfg=None gives STR-BDF2."""
     base = u0 + 0.25 * h * model.eval_F(u0)
     u_half = _implicit_stage(model, base, 0.25 * h, u0, cfg, stage=1)
     base2 = u0 + (4.0 / 3.0) * (u_half - u0)
@@ -219,19 +225,15 @@ def step_trbdf2(model, u0, h, cfg: NewtonConfig = NewtonConfig(),
 
 
 def step_strbdf2(model, u0, h):
-    """Semi-implicit TR-BDF2 (one linear solve per stage)."""
-    f0 = model.eval_F(u0)
-    u_half = u0 + 0.5 * _semi_implicit_solve(model, u0, 0.25 * h, h * f0)
-    f_half = model.eval_F(u_half)
-    rhs = (u_half - u0) + h * f_half
-    u1 = u_half + _semi_implicit_solve(model, u_half, h / 3.0, rhs) / 3.0
+    """Semi-implicit TR-BDF2: one Newton iteration per stage of step_trbdf2."""
+    u1 = step_trbdf2(model, u0, h, None)
     _divergence_guard(model, u0, u1)
     return u1
 
 
-def step_sdirk(model, u0, h, cfg: NewtonConfig = NewtonConfig(),
+def step_sdirk(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
                return_stage=False):
-    """Two-stage SDIRK (gamma = 2 - sqrt(2)); both stages use gamma*h/2."""
+    """Two-stage SDIRK, gamma = 2 - sqrt(2); cfg=None gives SSDIRK."""
     g, b = SDIRK_GAMMA, SDIRK_BETA
     base = u0 + 0.5 * g * h * model.eval_F(u0)
     u_g = _implicit_stage(model, base, 0.5 * g * h, u0, cfg, stage=1)
@@ -241,13 +243,8 @@ def step_sdirk(model, u0, h, cfg: NewtonConfig = NewtonConfig(),
 
 
 def step_ssdirk(model, u0, h):
-    """Semi-implicit SDIRK."""
-    g, b = SDIRK_GAMMA, SDIRK_BETA
-    f0 = model.eval_F(u0)
-    u_g = u0 + _semi_implicit_solve(model, u0, 0.5 * g * h, g * h * f0)
-    f_g = model.eval_F(u_g)
-    rhs = (2.0 * b / g - 1.0) * (u_g - u0) + 0.5 * g * h * f_g
-    u1 = u_g + _semi_implicit_solve(model, u_g, 0.5 * g * h, rhs)
+    """Semi-implicit SDIRK: one Newton iteration per stage of step_sdirk."""
+    u1 = step_sdirk(model, u0, h, None)
     _divergence_guard(model, u0, u1)
     return u1
 

@@ -79,10 +79,6 @@ class ForceModel:
             return self._k_linear
         return fem.stiffness_matrix(self.mesh, self.mat, q)
 
-    def damping(self, q) -> sp.csr_matrix:
-        m = sp.diags(self.mass)
-        return fem.rayleigh_damping(self.stiffness(q), m, self.rayleigh)
-
     def gravity_force(self):
         return self.mass * np.tile(self.gravity, self.mesh.num_vertices)
 
@@ -99,8 +95,10 @@ class ForceModel:
     def total_force(self, q, v):
         """f_tot = f_els + f_dmp + f_con + f_ext (unmasked)."""
         f = self.elastic_force(q) + self.gravity_force()
-        if self.rayleigh.alpha or self.rayleigh.beta:
-            f -= self.damping(q) @ v
+        if self.rayleigh.beta:
+            f -= self.rayleigh.beta * self.mass * v
+        if self.rayleigh.alpha:
+            f -= self.rayleigh.alpha * (self.stiffness(q) @ v)
         if self.contact is not None:
             cs = self._contact_set(q)
             f += ct.contact_force(self.mesh, cs, self.contact, q)
@@ -123,8 +121,8 @@ class ForceModel:
         """Block Jacobian [[0, I], [-M^-1 K_eff, -M^-1 D_eff]], masked."""
         n = self.ndof
         q, v = u[:n], u[n:]
-        k = self.stiffness(q).copy()
-        d = self.damping(q)
+        k = self.stiffness(q)
+        d = fem.rayleigh_damping(k, sp.diags(self.mass), self.rayleigh)
         if self.contact is not None:
             cs = self._contact_set(q)
             k = k - ct.contact_stiffness(self.mesh, cs, self.contact, q)

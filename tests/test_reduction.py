@@ -8,6 +8,7 @@ import scipy.linalg
 import softdyn as sd
 from softdyn import expo, reduction, steppers
 from softdyn.reduction import RefreshPolicy
+from softdyn.steppers import Method
 
 
 def _model(nx=2, ny=1, nz=1, fix="left", damping=(0.0, 0.0), grav=(0, 0, -9.8)):
@@ -150,7 +151,9 @@ def test_siere_full_subspace_equals_ere():
     assert np.linalg.norm(u_red - ref) < 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
-def test_sbdf2ere_is_one_newton_of_bdf2ere():
+@pytest.mark.parametrize("semi,full", [("SBDF2ERE", "BDF2ERE"),
+                                       ("SIERE", "BEERE")])
+def test_semi_implicit_ere_is_one_newton_on_linear(semi, full):
     # linear material: the implicit residual is affine, so a single Newton
     # iteration (the semi-implicit step) is already the exact solution
     mesh = sd.box_mesh(3, 1, 1, 0.3, 0.1, 0.1, fix="left")
@@ -163,10 +166,11 @@ def test_sbdf2ere_is_one_newton_of_bdf2ere():
     um1[:model.ndof] -= 0.001 * model.free
     ms = reduction.modal_split(model, u0, 4)
     h = 0.01
-    semi = reduction.sbdf2ere_step(model, u0, um1, h, ms)
-    full = reduction.bdf2ere_step(model, u0, um1, h, ms,
-                                  steppers.NewtonConfig(abs_tol=1e-13))
-    assert np.linalg.norm(semi - full) < 1e-9 * max(1.0, np.linalg.norm(full))
+    cfg = steppers.NewtonConfig(abs_tol=1e-13)
+    u_semi = sd.METHODS[Method(semi)].step(model, u0, um1, h, cfg, ms, None)
+    u_full = sd.METHODS[Method(full)].step(model, u0, um1, h, cfg, ms, None)
+    assert (np.linalg.norm(u_semi - u_full)
+            < 1e-9 * max(1.0, np.linalg.norm(u_full)))
 
 
 def test_sbdf2ere_close_to_bdf2ere_nonlinear():

@@ -3,6 +3,7 @@ order of accuracy, Newton behavior, optimization cross-checks."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import softdyn as sd
 from softdyn import steppers as st
@@ -193,6 +194,26 @@ def test_divergence_guard():
 
     with pytest.warns(UserWarning, match="divergence"):
         st.step_strbdf2(Exploding(), np.array([1.0]), 1.0)
+
+
+def test_singular_stage_raises_step_failure():
+    # I - c J is singular at these steps: the one-iteration solve raises
+    # StepFailure instead of returning inf or nan, and Newton raises it
+    # instead of SuperLU's bare RuntimeError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(StepFailure):
+            st.step_si(Scalar(10.0), np.array([1.0]), 0.1)
+        with pytest.raises(StepFailure) as ei:
+            st.step_strbdf2(Scalar(40.0), np.array([1.0]), 0.1)
+    assert ei.value.stage == 1
+    np.testing.assert_array_equal(ei.value.last_iterate, [1.0])
+
+    class SparseScalar(Scalar):
+        def eval_J(self, u):
+            return sp.csr_matrix(super().eval_J(u))
+
+    with pytest.raises(StepFailure):
+        st.step_be(SparseScalar(10.0), np.array([1.0]), 0.1)
 
 
 def _grav_model():

@@ -103,3 +103,23 @@ def test_simstate_u_roundtrip(model, rng):
     st = sd.SimState.from_u(u, 1.5)
     np.testing.assert_array_equal(st.u, u)
     assert st.t == 1.5
+
+
+@pytest.mark.parametrize("rayleigh", [(0.0, 0.0), (0.0, 20.0)],
+                         ids=["undamped", "mass-damped"])
+def test_stiffness_assembled_once_per_eval_J(beam, rng, monkeypatch, rayleigh):
+    """eval_J builds Rayleigh D from the K it assembles; eval_F assembles
+    no K when the Rayleigh term is mass-proportional only."""
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    model = sd.ForceModel(beam, mat, sd.RayleighParams(*rayleigh),
+                          (0, 0, -9.8), None)
+    calls = []
+    assemble = sd.fem.stiffness_matrix
+    monkeypatch.setattr(sd.fem, "stiffness_matrix",
+                        lambda *a: calls.append(1) or assemble(*a))
+    u = rand_state(model, rng)
+    model.eval_J(u)
+    assert len(calls) == 1
+    calls.clear()
+    model.eval_F(u)
+    assert len(calls) == 0
