@@ -3,6 +3,10 @@
 Contacts are vertex-vs-surface only. The barrier has compact support
 [0, delta]; friction follows the maximum dissipation principle with a C1
 pre-sliding ramp below speed epsilon.
+
+Every kernel works on whole arrays of contacts, with no per-contact loop:
+a ContactSet holds n_c contacts as (n_c,) and (n_c, 3) arrays, and the
+sparse matrices are assembled from (n_c, 3, 3) per-vertex blocks.
 """
 
 from __future__ import annotations
@@ -17,8 +21,14 @@ import scipy.sparse as sp
 GAP_CLAMP_REL = 1e-6
 
 
+def _norm(x):
+    """Euclidean norm over the last axis; each row equals np.linalg.norm(row)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 class HalfSpace:
-    """Half-space {x : (x - point) . normal >= 0}."""
+    """Half-space {x : (x - point) . normal >= 0}. Its methods take a point
+    (3,) or points (k, 3) and return (), (3,), (3, 3) or (k,), (k, 3), (k, 3, 3)."""
 
     def __init__(self, point, normal):
         self.point = np.asarray(point, dtype=float)
@@ -29,17 +39,17 @@ class HalfSpace:
         self.normal = n / nn
 
     def distance(self, x):
-        return float(np.dot(x - self.point, self.normal))
+        return np.vecdot(x - self.point, self.normal)
 
     def gradient(self, x):
-        return self.normal
+        return np.broadcast_to(self.normal, np.shape(x))
 
     def hessian(self, x):
-        return np.zeros((3, 3))
+        return np.zeros(np.shape(x) + (3,))
 
 
 class Sphere:
-    """Outside of a sphere: d(x) = |x - center| - radius."""
+    """Outside of a sphere: d(x) = |x - center| - radius; shapes as HalfSpace."""
 
     def __init__(self, center, radius):
         if radius <= 0:
@@ -48,20 +58,19 @@ class Sphere:
         self.radius = float(radius)
 
     def distance(self, x):
-        return float(np.linalg.norm(x - self.center) - self.radius)
+        return _norm(x - self.center) - self.radius
 
     def gradient(self, x):
+        """Unit outward direction; (0, 0, 1) at the center."""
         r = x - self.center
-        nr = np.linalg.norm(r)
-        if nr == 0:
-            return np.array([0.0, 0.0, 1.0])
-        return r / nr
+        nr = _norm(r)[..., None]
+        return np.where(nr == 0, (0.0, 0.0, 1.0), r / np.where(nr == 0, 1.0, nr))
 
     def hessian(self, x):
         r = x - self.center
-        nr = np.linalg.norm(r)
+        nr = _norm(r)[..., None]
         n = r / nr
-        return (np.eye(3) - np.outer(n, n)) / nr
+        return (np.eye(3) - n[..., :, None] * n[..., None, :]) / nr[..., None]
 
 
 @dataclass(frozen=True)
@@ -95,40 +104,26 @@ class ContactSet:
         return len(self.vertices)
 
 
-def gap(mesh, surfaces, q) -> ContactSet:
-    """Signed distance of every surface-vertex/surface pair.
-
-    Every pair is measured and returned; ``active_set`` keeps the pairs
-    inside the barrier support (d < delta) and clamps penetrating gaps.
-    """
-    pos = np.asarray(q, dtype=float).reshape(-1, 3)
-    verts, surfs, gaps, normals = [], [], [], []
-    for si, surf in enumerate(surfaces):
-        for v in mesh.surface_vertices:
-            d = surf.distance(pos[v])
-            verts.append(v)
-            surfs.append(si)
-            gaps.append(d)
-            normals.append(surf.gradient(pos[v]))
-    if not verts:
-        return ContactSet(np.zeros(0, int), np.zeros(0, int),
-                          np.zeros(0), np.zeros((0, 3)))
-    return ContactSet(np.array(verts), np.array(surfs),
-                      np.array(gaps), np.array(normals))
-
-
 def active_set(mesh, cfg: ContactConfig, q) -> ContactSet:
-    """Contacts inside the barrier support (d < delta), gaps clamped."""
-    cs = gap(mesh, cfg.surfaces, q)
-    keep = cs.gaps < cfg.delta
-    gaps = cs.gaps[keep]
+    """Contacts inside the barrier support (d < delta), gaps clamped.
+
+    Each surface is measured once on all surface vertices; contacts come
+    surface by surface, in ``mesh.surface_vertices`` order.
+    """
+    pts = np.asarray(q, dtype=float).reshape(-1, 3)[mesh.surface_vertices]
+    gaps = np.reshape([s.distance(pts) for s in cfg.surfaces], -1)
+    normals = np.reshape([s.gradient(pts) for s in cfg.surfaces], (-1, 3))
+    keep = gaps < cfg.delta
+    gaps = gaps[keep]
     pen = gaps <= 0
     if pen.any():
         warnings.warn(f"{int(pen.sum())} penetrating contact(s), gap clamped",
                       stacklevel=2)
     gaps = np.maximum(gaps, GAP_CLAMP_REL * cfg.delta)
-    return ContactSet(cs.vertices[keep], cs.surfaces[keep], gaps,
-                      cs.normals[keep], pen)
+    ns = len(cfg.surfaces)
+    return ContactSet(np.tile(mesh.surface_vertices, ns)[keep],
+                      np.repeat(np.arange(ns), len(pts))[keep], gaps,
+                      normals[keep], pen)
 
 
 def barrier_value(x, delta):
@@ -162,54 +157,48 @@ def barrier_hess(x, delta):
 
 
 def contact_lambda(cs: ContactSet, cfg: ContactConfig):
-    """Per-contact normal force magnitudes lambda = -kappa * b'(d)."""
+    """Per-contact normal force magnitudes lambda = -kappa * b'(d), (n_c,)."""
     return -cfg.kappa * barrier_grad(cs.gaps, cfg.delta)
+
+
+def _vertex_blocks(mesh, vertices, blocks) -> sp.csr_matrix:
+    """(3*nv, 3*nv) CSR summing (n_c, 3, 3) blocks at their vertices' dofs;
+    triplets run block by block, row-major within a block."""
+    n = mesh.num_dofs
+    idx = 3 * np.asarray(vertices)[:, None] + np.arange(3)
+    rows, cols = np.repeat(idx, 3, axis=1), np.tile(idx, 3)
+    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
 
 
 def contact_force(mesh, cs: ContactSet, cfg: ContactConfig, q):
     """f_c = -grad_q [kappa * sum b(d)] as a flat (3*nv,) vector."""
     f = np.zeros(mesh.num_dofs)
-    if cs.count == 0:
-        return f
-    lam = contact_lambda(cs, cfg)
-    for i in range(cs.count):
-        v = cs.vertices[i]
-        f[3 * v:3 * v + 3] += lam[i] * cs.normals[i]
+    np.add.at(f.reshape(-1, 3), cs.vertices,
+              contact_lambda(cs, cfg)[:, None] * cs.normals)
     return f
 
 
 def contact_stiffness(mesh, cs: ContactSet, cfg: ContactConfig, q) -> sp.csr_matrix:
     """d f_c / d q (symmetric, <= 0 definite blocks per contact)."""
-    n = mesh.num_dofs
-    if cs.count == 0:
-        return sp.csr_matrix((n, n))
     pos = np.asarray(q, dtype=float).reshape(-1, 3)
     lam = contact_lambda(cs, cfg)
-    bpp = barrier_hess(cs.gaps, cfg.delta)
-    rows, cols, vals = [], [], []
-    for i in range(cs.count):
-        v = cs.vertices[i]
-        nrm = cs.normals[i]
-        surf = cfg.surfaces[cs.surfaces[i]]
-        blk = (-cfg.kappa * bpp[i] * np.outer(nrm, nrm)
-               + lam[i] * surf.hessian(pos[v]))
-        idx = np.arange(3 * v, 3 * v + 3)
-        rows.append(np.repeat(idx, 3))
-        cols.append(np.tile(idx, 3))
-        vals.append(blk.ravel())
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+    blocks = ((-cfg.kappa * barrier_hess(cs.gaps, cfg.delta))[:, None, None]
+              * (cs.normals[:, :, None] * cs.normals[:, None, :]))
+    for si, surf in enumerate(cfg.surfaces):
+        on = cs.surfaces == si
+        blocks[on] += lam[on, None, None] * surf.hessian(pos[cs.vertices[on]])
+    return _vertex_blocks(mesh, cs.vertices, blocks)
 
 
 def _tangent_frame(n):
-    """Deterministic orthonormal tangent pair for a unit normal."""
-    a = np.zeros(3)
-    a[np.argmin(np.abs(n))] = 1.0
+    """Deterministic orthonormal tangent pair (t1, t2) for unit normals (..., 3)."""
+    n = np.asarray(n, dtype=float)
+    a = np.zeros_like(n)
+    np.put_along_axis(a, np.argmin(np.abs(n), axis=-1)[..., None], 1.0, axis=-1)
     t1 = np.cross(n, a)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return t1, t2
+    t1 /= _norm(t1)[..., None]
+    return t1, np.cross(n, t1)
 
 
 def contact_jacobian(mesh, cs: ContactSet, q):
@@ -220,22 +209,15 @@ def contact_jacobian(mesh, cs: ContactSet, q):
     (3*n_c, 2*n_c); columns are the per-contact orthonormal frame.
     """
     nc = cs.count
-    n = mesh.num_dofs
-    jc = sp.lil_matrix((3 * nc, n))
+    cols = (3 * cs.vertices[:, None] + np.arange(3)).ravel()
+    jc = sp.csr_matrix((np.ones(3 * nc), cols, np.arange(3 * nc + 1)),
+                       shape=(3 * nc, mesh.num_dofs))
+    c = np.arange(nc)
     bn = np.zeros((3 * nc, nc))
+    bn.reshape(nc, 3, nc)[c, :, c] = cs.normals
     bt = np.zeros((3 * nc, 2 * nc))
-    for i in range(nc):
-        v = cs.vertices[i]
-        jc[3 * i:3 * i + 3, 3 * v:3 * v + 3] = np.eye(3)
-        nrm = cs.normals[i]
-        if np.linalg.norm(nrm) < 1e-12:
-            warnings.warn(f"degenerate normal at contact {i}, dropped")
-            continue
-        t1, t2 = _tangent_frame(nrm)
-        bn[3 * i:3 * i + 3, i] = nrm
-        bt[3 * i:3 * i + 3, 2 * i] = t1
-        bt[3 * i:3 * i + 3, 2 * i + 1] = t2
-    return jc.tocsr(), bn, bt
+    bt.reshape(nc, 3, nc, 2)[c, :, c] = np.stack(_tangent_frame(cs.normals), -1)
+    return jc, bn, bt
 
 
 def sliding_basis(jc, bt):
@@ -251,55 +233,52 @@ def s_profile(x, eps):
 
 
 def eta_smooth(vbar, eps):
-    """Smoothed unit-direction map, |eta| <= 1, eta(0) = 0."""
+    """Smoothed unit-direction map of slips (..., 2), |eta| <= 1, eta(0) = 0."""
     vbar = np.asarray(vbar, dtype=float)
-    nv = np.linalg.norm(vbar)
-    if nv == 0:
-        return np.zeros_like(vbar)
-    return s_profile(nv, eps) * vbar / nv
+    nv = _norm(vbar)[..., None]
+    moving = nv != 0
+    return np.where(moving, s_profile(nv, eps) * vbar / np.where(moving, nv, 1.0),
+                    0.0)
 
 
 def _eta_jacobian(vbar, eps):
-    """d eta/d vbar (2x2), continuous at 0 and at |v| = eps."""
-    nv = np.linalg.norm(vbar)
-    if nv < 1e-300:
-        return (2.0 / eps) * np.eye(2)
-    vhat = vbar / nv
-    p = np.eye(2) - np.outer(vhat, vhat)
-    if nv >= eps:
-        return p / nv
-    s_over = 2.0 / eps - nv / eps ** 2
-    sp_ = 2.0 / eps - 2.0 * nv / eps ** 2
-    return s_over * p + sp_ * np.outer(vhat, vhat)
+    """d eta/d vbar, (..., 2, 2) for slips (..., 2); continuous at 0 and eps."""
+    vbar = np.asarray(vbar, dtype=float)
+    nv = _norm(vbar)[..., None, None]
+    still = nv < 1e-300
+    nvs = np.where(still, 1.0, nv)
+    vhat = vbar[..., None, :] / nvs
+    vv = np.swapaxes(vhat, -1, -2) * vhat
+    p = np.eye(2) - vv
+    slow = (2.0 / eps - nv / eps ** 2) * p + (2.0 / eps - 2.0 * nv / eps ** 2) * vv
+    return np.where(still, (2.0 / eps) * np.eye(2),
+                    np.where(nv >= eps, p / nvs, slow))
+
+
+def _slip(cs: ContactSet, cfg: ContactConfig, v):
+    """Frames T (n_c, 3, 2), normal forces (n_c,) and slips T_i^T v_i (n_c, 2)."""
+    t = np.stack(_tangent_frame(cs.normals), -1)
+    vc = np.asarray(v, dtype=float).reshape(-1, 3)[cs.vertices]
+    vbar = (np.swapaxes(t, 1, 2) @ vc[:, :, None])[..., 0]
+    return t, contact_lambda(cs, cfg), vbar
 
 
 def friction_force(mesh, cs: ContactSet, cfg: ContactConfig, q, v):
     """f_f = -mu T Lambda eta(T^T v)."""
     f = np.zeros(mesh.num_dofs)
-    if cs.count == 0 or cfg.mu == 0.0:
+    if cfg.mu == 0.0:
         return f
-    jc, _, bt = contact_jacobian(mesh, cs, q)
-    t = sliding_basis(jc, bt)
-    lam = contact_lambda(cs, cfg)
-    vbar = t.T @ v
-    eta = np.zeros(2 * cs.count)
-    for i in range(cs.count):
-        eta[2 * i:2 * i + 2] = eta_smooth(vbar[2 * i:2 * i + 2], cfg.epsilon)
-    lam2 = np.repeat(lam, 2)
-    return -cfg.mu * (t @ (lam2 * eta))
+    t, lam, vbar = _slip(cs, cfg, v)
+    ft = lam[:, None] * eta_smooth(vbar, cfg.epsilon)
+    np.add.at(f.reshape(-1, 3), cs.vertices, (t @ ft[:, :, None])[..., 0])
+    return -cfg.mu * f
 
 
 def friction_velocity_jacobian(mesh, cs: ContactSet, cfg: ContactConfig, q, v):
-    """d f_f / d v (the only friction derivative kept in Jacobians)."""
-    n = mesh.num_dofs
-    if cs.count == 0 or cfg.mu == 0.0:
-        return sp.csr_matrix((n, n))
-    jc, _, bt = contact_jacobian(mesh, cs, q)
-    t = sp.csr_matrix(sliding_basis(jc, bt))
-    lam = contact_lambda(cs, cfg)
-    vbar = t.T @ v
-    deta = sp.lil_matrix((2 * cs.count, 2 * cs.count))
-    for i in range(cs.count):
-        deta[2 * i:2 * i + 2, 2 * i:2 * i + 2] = \
-            lam[i] * _eta_jacobian(vbar[2 * i:2 * i + 2], cfg.epsilon)
-    return (-cfg.mu * (t @ deta.tocsr() @ t.T)).tocsr()
+    """d f_f / d v (the only friction derivative kept in Jacobians): contact i
+    adds -mu T_i (lambda_i D eta_i) T_i^T at its vertex."""
+    if cfg.mu == 0.0:
+        return sp.csr_matrix((mesh.num_dofs, mesh.num_dofs))
+    t, lam, vbar = _slip(cs, cfg, v)
+    d = lam[:, None, None] * _eta_jacobian(vbar, cfg.epsilon)
+    return -cfg.mu * _vertex_blocks(mesh, cs.vertices, t @ d @ np.swapaxes(t, 1, 2))

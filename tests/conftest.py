@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import softdyn as sd
+
+# Property tests draw the same examples on every run and stay short.
+settings.register_profile("softdyn", derandomize=True, deadline=None,
+                          max_examples=30)
+settings.load_profile("softdyn")
 
 
 @pytest.fixture

@@ -2,12 +2,44 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import softdyn as sd
 from softdyn import contact as ct
 
 
 DELTA = 0.01
+
+_PLANE = sd.HalfSpace((0, 0, 0), (0, 0, 1))
+_BALL = sd.Sphere((0.02, 0.02, -0.1), 0.1)
+# name -> (surfaces, lift of the single tet). "plane+sphere" puts every
+# bottom vertex inside both supports; "clear" leaves every gap above DELTA.
+SCENES = {
+    "plane": ((_PLANE,), 0.004),
+    "tilted": ((sd.HalfSpace((0, 0, 0), np.array([0.1, -0.05, 1.0])
+                             / np.linalg.norm([0.1, -0.05, 1.0])),), 0.004),
+    "sphere": ((_BALL,), 0.002),
+    "plane+sphere": ((_PLANE, _BALL), 0.002),
+    "clear": ((_PLANE,), 0.02),
+}
+IN_CONTACT = [name for name in SCENES if name != "clear"]
+
+
+def _one(cs, i):
+    """The one-contact set holding contact i of cs."""
+    return ct.ContactSet(cs.vertices[[i]], cs.surfaces[[i]], cs.gaps[[i]],
+                         cs.normals[[i]])
+
+
+def _scene(name, mu=0.0):
+    """Single tet of size 0.05 lifted above the scene's surfaces."""
+    surfaces, lift = SCENES[name]
+    mesh = sd.single_tet(0.05)
+    cfg = ct.ContactConfig(surfaces, DELTA, 7.0, mu, 1e-3)
+    q = mesh.rest_positions.reshape(-1).copy()
+    q[2::3] += lift
+    return mesh, cfg, q
 
 
 def test_barrier_support():
@@ -84,12 +116,9 @@ def test_active_set_and_clamp():
     assert np.all(cs2.gaps > 0)
 
 
-def test_contact_force_fd():
-    mesh = sd.single_tet(0.05)
-    cfg = ct.ContactConfig((sd.HalfSpace((0, 0, 0), (0, 0, 1)),),
-                           DELTA, 7.0, 0.0, 1e-3)
-    q = mesh.rest_positions.reshape(-1).copy()
-    q[2::3] += 0.004
+@pytest.mark.parametrize("scene", SCENES)
+def test_contact_force_fd(scene):
+    mesh, cfg, q = _scene(scene)
 
     def energy(qq):
         cs = ct.active_set(mesh, cfg, qq)
@@ -106,12 +135,9 @@ def test_contact_force_fd():
         assert abs(f[i] + g) < 1e-4 * max(1.0, abs(g))
 
 
-def test_contact_stiffness_fd():
-    mesh = sd.single_tet(0.05)
-    cfg = ct.ContactConfig((sd.HalfSpace((0, 0, 0), (0, 0, 1)),),
-                           DELTA, 7.0, 0.0, 1e-3)
-    q = mesh.rest_positions.reshape(-1).copy()
-    q[2::3] += 0.004
+@pytest.mark.parametrize("scene", SCENES)
+def test_contact_stiffness_fd(scene):
+    mesh, cfg, q = _scene(scene)
     cs = ct.active_set(mesh, cfg, q)
     # convention: contact_stiffness is d f_c / d q (not its negative)
     k = ct.contact_stiffness(mesh, cs, cfg, q).toarray()
@@ -125,6 +151,88 @@ def test_contact_stiffness_fd():
         fm = ct.contact_force(mesh, ct.active_set(mesh, cfg, qm), cfg, qm)
         kfd[:, i] = (fp - fm) / (2 * eps)
     assert np.abs(k - kfd).max() < 1e-4 * max(1.0, np.abs(kfd).max())
+
+
+def test_empty_contact_set_kernels():
+    mesh, cfg, q = _scene("clear", mu=0.4)
+    cs = ct.active_set(mesh, cfg, q)
+    assert cs.count == 0
+    v = np.ones_like(q)
+    n = q.size
+    for f in (ct.contact_force(mesh, cs, cfg, q),
+              ct.friction_force(mesh, cs, cfg, q, v)):
+        assert f.shape == (n,) and not f.any()
+    for k in (ct.contact_stiffness(mesh, cs, cfg, q),
+              ct.friction_velocity_jacobian(mesh, cs, cfg, q, v)):
+        assert k.shape == (n, n) and k.nnz == 0
+    jc, bn, bt = ct.contact_jacobian(mesh, cs, q)
+    assert jc.shape == (0, n) and bn.shape == (0, 0) and bt.shape == (0, 0)
+
+
+@pytest.mark.parametrize("scene", IN_CONTACT)
+def test_kernels_sum_over_contacts(scene):
+    """Each kernel equals the sum of its one-contact results (the per-contact
+    loop); only the order of the sums at shared vertices may differ."""
+    mesh, cfg, q, v, cs = _sliding_setup(0.0007, scene)
+    kernels = (lambda c: ct.contact_force(mesh, c, cfg, q),
+               lambda c: ct.friction_force(mesh, c, cfg, q, v),
+               lambda c: ct.contact_stiffness(mesh, c, cfg, q).toarray(),
+               lambda c: ct.friction_velocity_jacobian(mesh, c, cfg, q, v).toarray())
+    for kernel in kernels:
+        ref = sum(kernel(_one(cs, i)) for i in range(cs.count))
+        np.testing.assert_allclose(kernel(cs), ref, rtol=1e-12,
+                                   atol=1e-15 * np.abs(ref).max())
+
+
+_EPS = 1e-3
+_coord = st.floats(-2.0, 2.0, allow_subnormal=False)
+_points = hnp.arrays(float, st.tuples(st.integers(1, 5), st.just(3)),
+                     elements=_coord)
+# slips with |v| = 0, 0 < |v| < eps and |v| >= eps
+_slip = st.builds(lambda r, a: r * np.array([np.cos(a), np.sin(a)]),
+                  st.one_of(st.just(0.0), st.floats(1e-9 * _EPS, _EPS,
+                                                    exclude_max=True),
+                            st.floats(_EPS, 1e3 * _EPS)),
+                  st.floats(0.0, 2 * np.pi))
+_slips = st.lists(_slip, min_size=1, max_size=6).map(np.array)
+
+
+def _unit_rows(p):
+    p = np.where(np.linalg.norm(p, axis=1, keepdims=True) < 1e-3, (0, 0, -1.0), p)
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
+
+
+_normals = _points.map(_unit_rows)
+
+
+def _assert_rowwise(fn, xs):
+    """fn on the batch xs equals fn on each row of xs, bit for bit."""
+    out = fn(xs)
+    outs = out if isinstance(out, tuple) else (out,)
+    for i, x in enumerate(xs):
+        ref = fn(x)
+        refs = ref if isinstance(ref, tuple) else (ref,)
+        for o, r in zip(outs, refs):
+            assert np.array_equal(o[i], r)
+
+
+@given(_points, _normals, _coord, st.floats(0.05, 3.0))
+def test_surfaces_batched_equal_pointwise(pts, normals, c, radius):
+    hs = sd.HalfSpace(pts[0], normals[0])
+    ball = sd.Sphere((c, -c, 5.0), radius)  # off every drawn point
+    for fn in (hs.distance, hs.gradient, hs.hessian, ball.distance, ball.hessian):
+        _assert_rowwise(fn, pts)
+    # the sphere's gradient is (0, 0, 1) at its center
+    with_center = np.vstack([pts, ball.center])
+    _assert_rowwise(ball.gradient, with_center)
+    np.testing.assert_array_equal(ball.gradient(with_center)[-1], [0, 0, 1])
+
+
+@given(_normals, _slips)
+def test_friction_helpers_batched_equal_pointwise(normals, slips):
+    _assert_rowwise(ct._tangent_frame, normals)
+    _assert_rowwise(lambda x: ct.eta_smooth(x, _EPS), slips)
+    _assert_rowwise(lambda x: ct._eta_jacobian(x, _EPS), slips)
 
 
 def test_tangent_frame_orthonormal():
@@ -169,27 +277,25 @@ def test_eta_jacobian_fd():
                                (2.0 / eps) * np.eye(2), atol=1e-12)
 
 
-def _sliding_setup(v_tangent):
-    mesh = sd.single_tet(0.05)
-    cfg = ct.ContactConfig((sd.HalfSpace((0, 0, 0), (0, 0, 1)),),
-                           DELTA, 7.0, 0.4, 1e-3)
-    q = mesh.rest_positions.reshape(-1).copy()
-    q[2::3] += 0.004
+def _sliding_setup(v_tangent, scene="plane"):
+    mesh, cfg, q = _scene(scene, mu=0.4)
     v = np.zeros_like(q)
     v[0::3] = v_tangent
     cs = ct.active_set(mesh, cfg, q)
     return mesh, cfg, q, v, cs
 
 
-def test_friction_opposes_and_coulomb_cone():
-    mesh, cfg, q, v, cs = _sliding_setup(0.5)
+@pytest.mark.parametrize("scene", IN_CONTACT)
+def test_friction_opposes_and_coulomb_cone(scene):
+    mesh, cfg, q, v, cs = _sliding_setup(0.5, scene)
     ff = ct.friction_force(mesh, cs, cfg, q, v)
     assert np.dot(ff, v) < 0  # dissipative
     lam = ct.contact_lambda(cs, cfg)
-    # per-contact cone bound: |f_t| <= mu*lambda (fast sliding -> equality)
-    per_vert = ff.reshape(-1, 3)
+    # per-contact cone bound: |f_t| <= mu*lambda (fast sliding -> equality);
+    # a contact's own force is its one-contact set's force at its vertex
     for i, vtx in enumerate(cs.vertices):
-        ft = np.linalg.norm(per_vert[vtx])
+        fi = ct.friction_force(mesh, _one(cs, i), cfg, q, v).reshape(-1, 3)[vtx]
+        ft = np.linalg.norm(fi)
         assert ft <= cfg.mu * lam[i] * (1 + 1e-9)
         assert np.isclose(ft, cfg.mu * lam[i], rtol=1e-9)
 
@@ -220,8 +326,9 @@ def test_friction_mdp_limit():
     assert mags[0] < 0.1 and mags[-1] > 0.999
 
 
-def test_friction_velocity_jacobian_fd():
-    mesh, cfg, q, v, cs = _sliding_setup(0.0007)
+@pytest.mark.parametrize("scene", SCENES)
+def test_friction_velocity_jacobian_fd(scene):
+    mesh, cfg, q, v, cs = _sliding_setup(0.0007, scene)
     jac = ct.friction_velocity_jacobian(mesh, cs, cfg, q, v).toarray()
     eps = 1e-9
     jfd = np.zeros_like(jac)
