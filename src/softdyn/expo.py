@@ -17,27 +17,17 @@ class KrylovWarning(UserWarning):
     pass
 
 
-def phi1_dense(z):
-    """phi1(Z) = Z^{-1}(exp(Z) - I), via the augmented exponential so that
-    singular or near-singular Z is handled by the series limit."""
+def phi1_dense(z, b=None):
+    """phi1(Z) B with phi1(Z) = Z^{-1}(exp(Z) - I) and a (k, p) B, I by
+    default, via the augmented exponential so that singular or
+    near-singular Z is handled by the series limit."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     k = z.shape[0]
-    aug = np.zeros((2 * k, 2 * k))
+    b = np.eye(k) if b is None else np.asarray(b, dtype=float)
+    aug = np.zeros((k + b.shape[1], k + b.shape[1]))
     aug[:k, :k] = z
-    aug[:k, k:] = np.eye(k)
+    aug[:k, k:] = b
     return scipy.linalg.expm(aug)[:k, k:]
-
-
-def _phi1_times_e1(hh):
-    """h*phi1(H_aug) e1 for a small Hessenberg block, augmented-matrix trick.
-
-    hh is the already-scaled small matrix (h*H). Returns phi1(hh) @ e1.
-    """
-    k = hh.shape[0]
-    aug = np.zeros((k + 1, k + 1))
-    aug[:k, :k] = hh
-    aug[0, k] = 1.0
-    return scipy.linalg.expm(aug)[:k, k]
 
 
 def phi1_action_krylov(j, w, h, m=DEFAULT_KRYLOV_DIM, tol=DEFAULT_KRYLOV_TOL):
@@ -57,7 +47,6 @@ def phi1_action_krylov(j, w, h, m=DEFAULT_KRYLOV_DIM, tol=DEFAULT_KRYLOV_TOL):
     v = np.zeros((m + 1, n))
     hess = np.zeros((m + 1, m))
     v[0] = w / beta
-    used = m
     for jcol in range(m):
         z = matvec(v[jcol])
         for i in range(jcol + 1):
@@ -70,24 +59,21 @@ def phi1_action_krylov(j, w, h, m=DEFAULT_KRYLOV_DIM, tol=DEFAULT_KRYLOV_TOL):
             z -= c * v[i]
         hnorm = np.linalg.norm(z)
         hess[jcol + 1, jcol] = hnorm
-        if hnorm < 1e-14 * max(1.0, np.abs(hess[:jcol + 1, jcol]).max()):
-            used = jcol + 1
-            break
-        v[jcol + 1] = z / hnorm
-        # residual-style error estimate for the phi1 action
         k = jcol + 1
-        y = _phi1_times_e1(h * hess[:k, :k])
+        y = phi1_dense(h * hess[:k, :k], np.eye(k, 1))[:, 0]
+        if hnorm < 1e-14 * max(1.0, np.abs(hess[:k, jcol]).max()):
+            break  # invariant subspace: the projection is exact
+        v[k] = z / hnorm
+        # residual-style error estimate for the phi1 action
         err = beta * h * hnorm * abs(y[-1])
         if err <= tol * max(1.0, beta * h * np.linalg.norm(y)):
-            used = k
             break
     else:
         # the last estimate is above tol; with m = n the projection is exact
         if m < n:
             warnings.warn(f"Krylov budget m={m} exhausted, estimate {err:.2e}",
                           KrylovWarning, stacklevel=2)
-    y = _phi1_times_e1(h * hess[:used, :used])
-    return beta * h * (v[:used].T @ y)
+    return beta * h * (v[:k].T @ y)
 
 
 def ere_step(model, u0, h, m=DEFAULT_KRYLOV_DIM, tol=DEFAULT_KRYLOV_TOL):

@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
-                       _implicit_matrix, _solve_stage)
+                       _implicit_matrix, _solve_stage, _tr_stage)
 from .steppers import newton_solve  # noqa: F401  (re-exported)
 
 DENSE_EIG_CUTOFF = 300
@@ -38,6 +38,8 @@ class ModalSplit:
     steps_since_refresh: int = 0
     refresh_count: int = 0
     negative_count: int = 0
+    last_drift: float = 0.0  # largest principal angle to the previous split
+    eig_drift: float = 0.0   # largest eigenvalue change from the previous
 
     @property
     def s(self):
@@ -201,20 +203,12 @@ def smw_solve(a, y, z, rhs):
 
 
 def _smw_factors(model, ms: ModalSplit, coeff):
-    """Y, Z with I - c*J_H = (I - c*J) + c*(Y1 Z1^T + Y2 Z2^T) stacked.
-
-    The c factor is folded into Z.
-    """
-    n = model.ndof
-    s = ms.s
-    x, lam = ms.x, ms.lam
-    mx = model.mass[:, None] * x
-    y = np.zeros((2 * n, 2 * s))
-    z = np.zeros((2 * n, 2 * s))
-    y[:n, :s] = x
-    z[n:, :s] = coeff * mx
-    y[n:, s:] = -x * lam
-    z[:n, s:] = coeff * mx
+    """Y, Z with I - c*J_H = (I - c*J) + Y Z^T, the c factor in Z: the
+    blocks of c*J_G are Y = [[X, 0], [0, -X lam]], Z = [[0, cMX], [cMX, 0]]."""
+    x, zero = ms.x, np.zeros_like(ms.x)
+    cmx = coeff * (model.mass[:, None] * x)
+    y = np.block([[x, zero], [zero, -x * ms.lam]])
+    z = np.block([[zero, cmx], [cmx, zero]])
     return y, z
 
 
@@ -294,19 +288,25 @@ def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None,
     (a stage-2 rhs that treats the modal exponential explicitly is not)
     and reduces to plain STR-SBDF2 at s = 0.
     """
-    f0 = model.eval_F(u0)
-    s1 = SmwSolver(_implicit_matrix(model, u0, h / 4.0))
-    u_half = u0 + 0.5 * s1.solve(h * f0)
+    u_half = _tr_stage(model, u0, 0.25 * h, None, stage=1)
 
     # modal operations act on deviations from rest; propagating absolute
     # positions would spin the rest geometry through the mode rotation
     u_ref = np.concatenate([model.q_rest, np.zeros(model.ndof)])
     u_prop = u_ref + (4.0 * _exp_g_apply(model, ms, h / 2.0, u_half - u_ref)
                       - _exp_g_apply(model, ms, h, u0 - u_ref)) / 3.0
-    # remainder relative to the modal linearization
-    h_half = model.eval_F(u_half) - _jg_apply(model, ms, u_half - u_ref)
-    solver = _h_solver(model, u_half, ms, h / 3.0)
-    u1 = u_half + solver.solve(u_prop - u_half + (h / 3.0) * h_half)
+    c = h / 3.0
+
+    def residual(u):  # remainder relative to the modal linearization
+        return u - u_prop - c * (model.eval_F(u)
+                                 - _jg_apply(model, ms, u - u_ref))
+
+    try:
+        u1 = _solve_stage(residual, lambda u: _h_solver(model, u, ms, c),
+                          u_half, None)
+    except StepFailure as exc:
+        exc.stage = 2
+        raise
     if diag is not None:
-        diag["smw_solves"] = s1.n_solves + solver.n_solves
+        diag["smw_solves"] = 2  # one solve per stage
     return (u1, u_half) if return_stage else u1

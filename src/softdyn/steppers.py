@@ -174,13 +174,13 @@ def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
 
 
 def _divergence_guard(model, u0, u1):
+    """u1; warns when the step inflated ||F|| by over DIVERGENCE_FACTOR."""
     f0 = np.linalg.norm(model.eval_F(u0))
     f1 = np.linalg.norm(model.eval_F(u1))
-    flagged = f1 > DIVERGENCE_FACTOR * max(f0, 1e-300)
-    if flagged:
+    if f1 > DIVERGENCE_FACTOR * max(f0, 1e-300):
         warnings.warn("semi-implicit step increased ||F|| by > 1e6, "
                       "possible divergence", stacklevel=3)
-    return flagged
+    return u1
 
 
 def step_be(model, u0, h, cfg: NewtonConfig | None = NewtonConfig()):
@@ -190,15 +190,24 @@ def step_be(model, u0, h, cfg: NewtonConfig | None = NewtonConfig()):
 
 def step_si(model, u0, h):
     """Semi-implicit BE: one Newton iteration of step_be from u0."""
-    u1 = step_be(model, u0, h, None)
-    _divergence_guard(model, u0, u1)
-    return u1
+    return _divergence_guard(model, u0, step_be(model, u0, h, None))
+
+
+def _tr_stage(model, u0, c, cfg, stage=None):
+    """Trapezoidal stage of width 2c: u = u0 + c (F(u0) + F(u))."""
+    return _implicit_stage(model, u0 + c * model.eval_F(u0), c, u0, cfg, stage)
+
+
+def _two_stage(model, u0, c1, w, c2, cfg, return_stage):
+    """TR stage U of width 2 c1, then u1 = u0 + w (U - u0) + c2 F(u1)."""
+    u_s = _tr_stage(model, u0, c1, cfg, stage=1)
+    u1 = _implicit_stage(model, u0 + w * (u_s - u0), c2, u_s, cfg, stage=2)
+    return (u1, u_s) if return_stage else u1
 
 
 def step_tr(model, u0, h, cfg: NewtonConfig = NewtonConfig()):
     """Trapezoidal rule: u1 = u0 + h/2 (F(u1) + F(u0))."""
-    base = u0 + 0.5 * h * model.eval_F(u0)
-    return _implicit_stage(model, base, 0.5 * h, u0, cfg)
+    return _tr_stage(model, u0, 0.5 * h, cfg)
 
 
 def step_bdf2(model, u0, um1, h, cfg: NewtonConfig | None = NewtonConfig()):
@@ -209,44 +218,32 @@ def step_bdf2(model, u0, um1, h, cfg: NewtonConfig | None = NewtonConfig()):
 
 def step_sbdf2(model, u0, um1, h):
     """Semi-implicit BDF2: one Newton iteration of step_bdf2 from u0."""
-    u1 = step_bdf2(model, u0, um1, h, None)
-    _divergence_guard(model, u0, u1)
-    return u1
+    return _divergence_guard(model, u0, step_bdf2(model, u0, um1, h, None))
 
 
 def step_trbdf2(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
                 return_stage=False):
     """TR-BDF2: TR to the midpoint, then BDF2; cfg=None gives STR-BDF2."""
-    base = u0 + 0.25 * h * model.eval_F(u0)
-    u_half = _implicit_stage(model, base, 0.25 * h, u0, cfg, stage=1)
-    base2 = u0 + (4.0 / 3.0) * (u_half - u0)
-    u1 = _implicit_stage(model, base2, h / 3.0, u_half, cfg, stage=2)
-    return (u1, u_half) if return_stage else u1
+    return _two_stage(model, u0, 0.25 * h, 4.0 / 3.0, h / 3.0, cfg,
+                      return_stage)
 
 
 def step_strbdf2(model, u0, h):
     """Semi-implicit TR-BDF2: one Newton iteration per stage of step_trbdf2."""
-    u1 = step_trbdf2(model, u0, h, None)
-    _divergence_guard(model, u0, u1)
-    return u1
+    return _divergence_guard(model, u0, step_trbdf2(model, u0, h, None))
 
 
 def step_sdirk(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
                return_stage=False):
     """Two-stage SDIRK, gamma = 2 - sqrt(2); cfg=None gives SSDIRK."""
     g, b = SDIRK_GAMMA, SDIRK_BETA
-    base = u0 + 0.5 * g * h * model.eval_F(u0)
-    u_g = _implicit_stage(model, base, 0.5 * g * h, u0, cfg, stage=1)
-    base2 = u0 + (2.0 * b / g) * (u_g - u0)
-    u1 = _implicit_stage(model, base2, 0.5 * g * h, u_g, cfg, stage=2)
-    return (u1, u_g) if return_stage else u1
+    return _two_stage(model, u0, 0.5 * g * h, 2.0 * b / g, 0.5 * g * h, cfg,
+                      return_stage)
 
 
 def step_ssdirk(model, u0, h):
     """Semi-implicit SDIRK: one Newton iteration per stage of step_sdirk."""
-    u1 = step_sdirk(model, u0, h, None)
-    _divergence_guard(model, u0, u1)
-    return u1
+    return _divergence_guard(model, u0, step_sdirk(model, u0, h, None))
 
 
 # The difference methods. driver.METHODS adds the exponential and modal
@@ -312,23 +309,6 @@ def _potential(model, q):
     return w
 
 
-def _potential_grad(model, q):
-    f = model.elastic_force(q) + model.gravity_force()
-    if getattr(model, "contact", None) is not None:
-        cs = model._contact_set(q)
-        f += ct.contact_force(model.mesh, cs, model.contact, q)
-    return -f
-
-
-def _hessian_of_potential(model, q):
-    """d^2 W / dq^2: elastic plus contact barrier curvature."""
-    k = model.stiffness(q)
-    if getattr(model, "contact", None) is not None:
-        cs = model._contact_set(q)
-        k = k - ct.contact_stiffness(model.mesh, cs, model.contact, q)
-    return k
-
-
 def _optimize(model, u0, q_base, v_target, coeff, tol):
     """Minimize 0.5*||v1 - v_target||_M^2 + W(q_base + coeff*v1) over the
     free velocities, starting from u0's; returns u1 = (q1, v1)."""
@@ -342,33 +322,24 @@ def _optimize(model, u0, q_base, v_target, coeff, tol):
         q1 = q_base + coeff * v1
         dv = v1 - v_target
         val = 0.5 * float(np.dot(dv, mass * dv)) + _potential(model, q1)
-        grad = mass * dv + coeff * _potential_grad(model, q1)
+        grad = mass * dv - coeff * model.total_force(q1, v1)
         return val, np.where(free, grad, 0.0)
 
     res = scipy.optimize.minimize(objective, np.where(free, v0, 0.0),
                                   jac=True, method="L-BFGS-B",
                                   options={"gtol": tol, "ftol": 0.0,
                                            "maxiter": 2000})
-    # L-BFGS alone stalls well above round-off on stiff problems; exact
-    # Hessian steps drive the reduced gradient to stationarity
+    # L-BFGS alone stalls well above round-off on stiff problems; for
+    # integrable forces (gradient of W = -total_force) a stationary point
+    # solves u1 = (q_base, v_target) + coeff F(u1), so Newton finishes
     v1 = np.where(free, res.x, 0.0)
-    idx = np.nonzero(free)[0]
-    for _ in range(20):
-        _, grad = objective(v1)
-        if np.linalg.norm(grad) <= tol * max(1.0, np.linalg.norm(v1)):
-            break
-        hess = sp.diags(mass) + coeff * coeff * _hessian_of_potential(
-            model, q_base + coeff * np.where(free, v1, 0.0))
-        step = spla.spsolve(hess.tocsr()[idx][:, idx], grad[idx])
-        if not np.all(np.isfinite(step)):
-            break
-        v1 = v1.copy()
-        v1[idx] -= step
-    v1 = np.where(free, v1, 0.0)
-    grad_norm = np.linalg.norm(objective(v1)[1])
+    u1 = _implicit_stage(model, np.concatenate([q_base, v_target]), coeff,
+                         np.concatenate([q_base + coeff * v1, v1]),
+                         NewtonConfig())
+    grad_norm = np.linalg.norm(objective(u1[model.ndof:])[1])
     if grad_norm > max(100 * tol, 1e-6):
-        raise StepFailure(f"optimizer stationarity {grad_norm:.3e}", res.x)
-    return np.concatenate([q_base + coeff * v1, v1])
+        raise StepFailure(f"optimizer stationarity {grad_norm:.3e}", u1)
+    return u1
 
 
 def optimize_be(model, u0, h, tol=1e-10):

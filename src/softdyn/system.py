@@ -60,8 +60,17 @@ class ForceModel:
         self.free = mesh.free_dof_mask()
         self.q_rest = mesh.rest_positions.reshape(-1)
         self._k_linear = None
+        self._memo = {}
         if mat.model is Material.LINEAR:
             self._k_linear = fem.stiffness_matrix(mesh, mat, self.q_rest)
+
+    def _cached(self, name, kernel, params, q):
+        """kernel(mesh, params, q), kept for the last q seen under name:
+        steppers evaluate one configuration several times."""
+        key = np.asarray(q).tobytes()
+        if self._memo.get(name, (None,))[0] != key:
+            self._memo[name] = (key, kernel(self.mesh, params, q))
+        return self._memo[name][1]
 
     # -- scalar/vector force pieces -------------------------------------
 
@@ -71,13 +80,15 @@ class ForceModel:
     def elastic_force(self, q):
         if self._k_linear is not None:
             return -(self._k_linear @ (q - self.q_rest))
-        return fem.elastic_force(self.mesh, self.mat, q)
+        f = self._cached("force", fem.elastic_force, self.mat, q)
+        f.flags.writeable = False
+        return f
 
     def stiffness(self, q) -> sp.csr_matrix:
         """Elastic tangent stiffness (no contact terms), unmasked."""
         if self._k_linear is not None:
             return self._k_linear
-        return fem.stiffness_matrix(self.mesh, self.mat, q)
+        return self._cached("stiffness", fem.stiffness_matrix, self.mat, q)
 
     def gravity_force(self):
         return self.mass * np.tile(self.gravity, self.mesh.num_vertices)
@@ -90,7 +101,7 @@ class ForceModel:
     def _contact_set(self, q):
         if self.contact is None:
             return None
-        return ct.active_set(self.mesh, self.contact, q)
+        return self._cached("contact", ct.active_set, self.contact, q)
 
     def total_force(self, q, v):
         """f_tot = f_els + f_dmp + f_con + f_ext (unmasked)."""

@@ -36,6 +36,26 @@ def test_phi1_identity_at_zero():
                                atol=1e-14)
 
 
+_PHI1_CASES = {
+    "random": np.random.default_rng(2).standard_normal((6, 6)),
+    "singular": np.diag([0.0, 0.0, -1.0, 2.0, 0.0, 0.5]),
+    "oscillatory": np.array([[0.0, 3.0], [-3.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("rhs", ["e1", "random"])
+@pytest.mark.parametrize("case", list(_PHI1_CASES))
+def test_phi1_dense_times_b(case, rhs):
+    z = _PHI1_CASES[case]
+    k = z.shape[0]
+    b = (np.eye(k, 1) if rhs == "e1"
+         else np.random.default_rng(3).standard_normal((k, 3)))
+    ref = expo.phi1_dense(z) @ b
+    got = expo.phi1_dense(z, b)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_krylov_matches_dense():
     rng = np.random.default_rng(1)
     n = 60

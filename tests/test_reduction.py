@@ -1,9 +1,12 @@
 """Modal reduction oracles: eigenpairs, projectors, SMW identity, and the
 limits that tie the subspace-split steppers back to SI and ERE."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as spsp
 
 import softdyn as sd
 from softdyn import expo, reduction, steppers
@@ -213,7 +216,6 @@ def test_reduction_steppers_exact_on_linear_modes():
 
 
 def test_strsbdf2ere_s0_is_semi_implicit_trbdf2():
-    import scipy.sparse as spsp
     import scipy.sparse.linalg as spla
     model = _model(3, 2, 2)
     rng = np.random.default_rng(11)
@@ -243,6 +245,52 @@ def test_strsbdf2ere_stage_exposed():
     u1b = reduction.strsbdf2ere_step(model, u0, 0.01, ms)
     np.testing.assert_allclose(u1, u1b)
     assert u_half.shape == u0.shape
+
+
+class _TwoModes:
+    """Unit-mass oscillators q'' = -k q, k = diag(1, -16/h^2): stage 1 of
+    STR-SBDF2ERE, I - (h/4) J, is exactly singular on the second mode."""
+
+    ndof = 2
+    mass = np.ones(2)
+    q_rest = np.zeros(2)
+
+    def __init__(self, h, sparse):
+        self.j = np.zeros((4, 4))
+        self.j[:2, 2:] = np.eye(2)
+        self.j[2:, :2] = -np.diag([1.0, -16.0 / h ** 2])
+        self.sparse = sparse
+
+    def eval_F(self, u):
+        return self.j @ u
+
+    def eval_J(self, u):
+        return spsp.csr_matrix(self.j) if self.sparse else self.j
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_strsbdf2ere_singular_stage_1_raises_step_failure(sparse):
+    h = 0.1
+    ms = reduction.ModalSplit(np.zeros((2, 0)), np.zeros(0))
+    u0 = np.array([1.0, 1.0, 0.0, 0.0])
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(steppers.StepFailure) as ei:
+            reduction.strsbdf2ere_step(_TwoModes(h, sparse), u0, h, ms)
+    assert ei.value.stage == 1
+
+
+def test_strsbdf2ere_failed_stage_2_raises_step_failure(monkeypatch):
+    model = _model()
+    u0 = _rest_u(model)
+    ms = reduction.modal_split(model, u0, 2)
+    monkeypatch.setattr(reduction.SmwSolver, "solve",
+                        lambda self, rhs: np.full_like(rhs, np.nan))
+    with pytest.raises(steppers.StepFailure) as ei:
+        reduction.strsbdf2ere_step(model, u0, 0.01, ms)
+    assert ei.value.stage == 2
+    assert np.isfinite(ei.value.residual_norm)
 
 
 def test_strsbdf2ere_modal_accuracy_and_stability():

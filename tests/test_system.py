@@ -123,3 +123,50 @@ def test_stiffness_assembled_once_per_eval_J(beam, rng, monkeypatch, rayleigh):
     calls.clear()
     model.eval_F(u)
     assert len(calls) == 0
+
+
+def _record_configurations(monkeypatch):
+    """Patch the kernels that depend on the configuration q alone so that
+    each call logs its q; returns {kernel name: [q bytes, ...]}."""
+    logs = {}
+    for module, name in [(sd.fem, "elastic_force"),
+                         (sd.fem, "stiffness_matrix"),
+                         (sd.contact, "active_set")]:
+        log = logs.setdefault(name, [])
+
+        def recorded(mesh, params, q, kernel=getattr(module, name), log=log):
+            log.append(np.asarray(q).tobytes())
+            return kernel(mesh, params, q)
+
+        monkeypatch.setattr(module, name, recorded)
+    return logs
+
+
+@pytest.mark.parametrize("case", ["trbdf2", "be-contact"])
+def test_each_configuration_evaluated_once(beam, rng, monkeypatch, case):
+    """One step computes the elastic force, the stiffness and the contact
+    set at most once per distinct configuration, post-step diagnostics
+    included."""
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    if case == "trbdf2":
+        model = sd.ForceModel(beam, mat, sd.RayleighParams(), (0, 0, -9.8))
+        u = rand_state(model, rng, 0.1)
+        method = "TRBDF2"
+    else:
+        # the bottom face starts inside the barrier support
+        plane = sd.HalfSpace((0, 0, -0.005), (0, 0, 1))
+        contact = sd.ContactConfig((plane,), delta=0.01, kappa=100.0, mu=0.3)
+        model = sd.ForceModel(sd.box_mesh(1, 1, 1, 0.2, 0.2, 0.2), mat,
+                              sd.RayleighParams(), (0, 0, -9.8), contact)
+        u = np.concatenate([model.q_rest, np.zeros(model.ndof)])
+        method = "BE"
+    logs = _record_configurations(monkeypatch)
+    adv = sd.Advancer(model, method, 0.01)
+    adv.step(sd.SimState.from_u(u))
+    for name, log in logs.items():
+        assert len(log) == len(set(log)), name
+    assert len(logs["elastic_force"]) >= 3
+    assert len(logs["stiffness_matrix"]) >= 2
+    if case == "be-contact":
+        assert adv.last_diag["n_contacts"] > 0
+        assert len(logs["active_set"]) >= 2
