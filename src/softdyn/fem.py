@@ -1,7 +1,8 @@
 """Tet FEM assembly: lumped mass, elastic energy/force/stiffness, Rayleigh damping.
 
 Linear (P1) elements. Materials: small-strain linear elasticity and a
-stable neo-Hookean energy whose rest state is stress free.
+stable neo-Hookean energy whose rest state is stress free. K sums the
+element blocks vol * G^T A G into one canonical CSR pattern per mesh.
 """
 
 from __future__ import annotations
@@ -85,11 +86,17 @@ class _ElementData:
         # G (nt, 9, 12) maps the 12 vertex dofs to vec_F (column-major).
         eye3 = np.eye(3)
         self.g = np.einsum("eaj,ik->ejiak", n, eye3).reshape(mesh.num_tets, 9, 12)
-        # Sparse scatter pattern for 12x12 element blocks.
-        dofs = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(mesh.num_tets, 12)
-        self.rows = np.repeat(dofs, 12, axis=1).ravel()
-        self.cols = np.tile(dofs, (1, 12)).ravel()
-        self.dofs = dofs
+        self.dofs = dofs = (3 * mesh.tets[:, :, None]
+                            + np.arange(3)).reshape(mesh.num_tets, 12)
+        # Canonical CSR pattern of K; slot maps each of the nt*144 element
+        # entries (row-major 12x12 blocks) to its index in the CSR data.
+        n = mesh.num_dofs
+        keys = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
+        keys, slot = np.unique(keys, return_inverse=True)
+        self.slot = slot.astype(np.int32)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
 
 
 _CACHE = weakref.WeakKeyDictionary()  # TetMesh -> _ElementData
@@ -218,10 +225,12 @@ def stiffness_matrix(mesh: TetMesh, mat: MaterialParams, q) -> sp.csr_matrix:
         a = mu * np.broadcast_to(np.eye(9), (nt, 9, 9)).copy()
         a += lam * np.einsum("ei,ej->eij", vec_c, vec_c)
         a += lam * (j - alpha)[:, None, None] * _cof_derivative(f)
-    ke = np.einsum("e,eab,eac,ecd->ebd", ed.vol, ed.g, a, ed.g)
-    k = sp.coo_matrix((ke.ravel(), (ed.rows, ed.cols)),
-                      shape=(mesh.num_dofs, mesh.num_dofs)).tocsr()
-    return 0.5 * (k + k.T)
+    ke = ed.vol[:, None, None] * (ed.g.transpose(0, 2, 1) @ a @ ed.g)
+    # Symmetric element blocks sum to an exactly symmetric K.
+    ke = 0.5 * (ke + ke.transpose(0, 2, 1))
+    data = np.bincount(ed.slot, ke.ravel(), minlength=ed.indices.size)
+    return sp.csr_matrix((data, ed.indices.copy(), ed.indptr.copy()),
+                         shape=(mesh.num_dofs, mesh.num_dofs))
 
 
 def rayleigh_damping(k: sp.spmatrix, m: sp.spmatrix, p: RayleighParams):

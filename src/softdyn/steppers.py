@@ -173,9 +173,12 @@ def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
         raise
 
 
-def _divergence_guard(model, u0, u1):
-    """u1; warns when the step inflated ||F|| by over DIVERGENCE_FACTOR."""
+def _divergence_guard(model, u0, step):
+    """u1 = step(); warns when the step inflated ||F|| by over
+    DIVERGENCE_FACTOR. ||F(u0)|| is taken first, where the model's memo
+    of u0's elastic force still serves the step's own F(u0)."""
     f0 = np.linalg.norm(model.eval_F(u0))
+    u1 = step()
     f1 = np.linalg.norm(model.eval_F(u1))
     if f1 > DIVERGENCE_FACTOR * max(f0, 1e-300):
         warnings.warn("semi-implicit step increased ||F|| by > 1e6, "
@@ -190,7 +193,7 @@ def step_be(model, u0, h, cfg: NewtonConfig | None = NewtonConfig()):
 
 def step_si(model, u0, h):
     """Semi-implicit BE: one Newton iteration of step_be from u0."""
-    return _divergence_guard(model, u0, step_be(model, u0, h, None))
+    return _divergence_guard(model, u0, lambda: step_be(model, u0, h, None))
 
 
 def _tr_stage(model, u0, c, cfg, stage=None):
@@ -218,7 +221,8 @@ def step_bdf2(model, u0, um1, h, cfg: NewtonConfig | None = NewtonConfig()):
 
 def step_sbdf2(model, u0, um1, h):
     """Semi-implicit BDF2: one Newton iteration of step_bdf2 from u0."""
-    return _divergence_guard(model, u0, step_bdf2(model, u0, um1, h, None))
+    return _divergence_guard(model, u0,
+                             lambda: step_bdf2(model, u0, um1, h, None))
 
 
 def step_trbdf2(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
@@ -230,7 +234,8 @@ def step_trbdf2(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
 
 def step_strbdf2(model, u0, h):
     """Semi-implicit TR-BDF2: one Newton iteration per stage of step_trbdf2."""
-    return _divergence_guard(model, u0, step_trbdf2(model, u0, h, None))
+    return _divergence_guard(model, u0,
+                             lambda: step_trbdf2(model, u0, h, None))
 
 
 def step_sdirk(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
@@ -243,7 +248,8 @@ def step_sdirk(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
 
 def step_ssdirk(model, u0, h):
     """Semi-implicit SDIRK: one Newton iteration per stage of step_sdirk."""
-    return _divergence_guard(model, u0, step_sdirk(model, u0, h, None))
+    return _divergence_guard(model, u0,
+                             lambda: step_sdirk(model, u0, h, None))
 
 
 # The difference methods. driver.METHODS adds the exponential and modal

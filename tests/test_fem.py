@@ -2,7 +2,9 @@
 plus invariance and mass-conservation facts."""
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.spatial.transform
+from hypothesis import given, strategies as st
 
 import softdyn as sd
 from softdyn import fem
@@ -55,6 +57,70 @@ def test_stiffness_symmetric(small_mesh, material, rng):
     q = perturb(small_mesh, rng)
     k = sd.stiffness_matrix(small_mesh, material, q).toarray()
     assert np.abs(k - k.T).max() < 1e-10 * max(1.0, np.abs(k).max())
+
+
+def reference_stiffness(mesh, mat, q):
+    """K by the per-element einsum contraction and a COO scatter, then
+    symmetrized globally."""
+    ed = fem._edata(mesh)
+    nt, n = mesh.num_tets, mesh.num_dofs
+    mu, lam = mat.mu, mat.lam
+    if mat.model is sd.Material.LINEAR:
+        a = mu * (np.eye(9) + fem._T9) + lam * np.outer(fem._VEC_I, fem._VEC_I)
+        a = np.broadcast_to(a, (nt, 9, 9))
+    else:
+        f = fem._def_gradients(mesh, q)
+        vec_c = fem._cof(f).transpose(0, 2, 1).reshape(nt, 9)
+        j = np.linalg.det(f)
+        a = (mu * np.eye(9) + lam * np.einsum("ei,ej->eij", vec_c, vec_c)
+             + lam * (j - 1.0 - mu / lam)[:, None, None]
+             * fem._cof_derivative(f))
+    ke = np.einsum("e,eab,eac,ecd->ebd", ed.vol, ed.g, a, ed.g)
+    rows = np.repeat(ed.dofs, 12, axis=1).ravel()
+    cols = np.tile(ed.dofs, (1, 12)).ravel()
+    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return 0.5 * (k + k.T)
+
+
+def test_stiffness_fixed_pattern(beam, material, rng):
+    # every assembly on a mesh has one canonical CSR pattern, is exactly
+    # symmetric and equals the einsum + COO reference
+    k1 = sd.stiffness_matrix(beam, material, perturb(beam, rng))
+    k2 = sd.stiffness_matrix(beam, material, perturb(beam, rng))
+    np.testing.assert_array_equal(k1.indptr, k2.indptr)
+    np.testing.assert_array_equal(k1.indices, k2.indices)
+    assert k1.has_canonical_format and k2.has_canonical_format
+    for k in (k1, k2):
+        assert (k - k.T).count_nonzero() == 0
+    q = perturb(beam, rng)
+    k = sd.stiffness_matrix(beam, material, q).toarray()
+    ref = reference_stiffness(beam, material, q).toarray()
+    assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_stiffness_results_share_no_index_arrays(beam, material):
+    q = beam.rest_positions.reshape(-1)
+    k1 = sd.stiffness_matrix(beam, material, q)
+    k2 = sd.stiffness_matrix(beam, material, q)
+    for a, b in ((k1.indptr, k2.indptr), (k1.indices, k2.indices),
+                 (k1.data, k2.data)):
+        assert not np.shares_memory(a, b)
+    k1.indices[:] = 0
+    k1.indptr[:] = 0
+    k3 = sd.stiffness_matrix(beam, material, q)
+    np.testing.assert_array_equal(k3.indptr, k2.indptr)
+    np.testing.assert_array_equal(k3.indices, k2.indices)
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2),
+       st.sampled_from(list(sd.Material)), st.integers(0, 2**32 - 1))
+def test_stiffness_matches_fd_on_random_meshes(nx, ny, nz, model, seed):
+    mesh = sd.box_mesh(nx, ny, nz, 0.1 * nx, 0.1 * ny, 0.1 * nz)
+    mat = sd.MaterialParams(model, 1e5, 0.4, 1000.0)
+    q = perturb(mesh, np.random.default_rng(seed))
+    k = sd.stiffness_matrix(mesh, mat, q).toarray()
+    kfd = -fd_jacobian(lambda x: sd.elastic_force(mesh, mat, x), q)
+    assert np.abs(k - kfd).max() < 1e-4 * max(1.0, np.abs(kfd).max())
 
 
 def test_rest_state_zero(small_mesh, material):

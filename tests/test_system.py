@@ -125,6 +125,22 @@ def test_stiffness_assembled_once_per_eval_J(beam, rng, monkeypatch, rayleigh):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("method, calls", [("SI", 2), ("SBDF2", 2),
+                                           ("STRBDF2", 3), ("SSDIRK", 3)])
+def test_divergence_guard_reuses_force_at_u0(model, rng, monkeypatch,
+                                             method, calls):
+    """The guard takes ||F(u0)|| before the step, so the step's own F(u0)
+    and the guard share one elastic force: one call per distinct
+    configuration (u0, each stage, u1)."""
+    log = []
+    force = sd.fem.elastic_force
+    monkeypatch.setattr(sd.fem, "elastic_force",
+                        lambda *a: log.append(1) or force(*a))
+    u0, um1 = rand_state(model, rng), rand_state(model, rng)
+    sd.METHODS[sd.Method(method)].step(model, u0, um1, 1e-3, None, None, None)
+    assert len(log) == calls
+
+
 def _record_configurations(monkeypatch):
     """Patch the kernels that depend on the configuration q alone so that
     each call logs its q; returns {kernel name: [q bytes, ...]}."""
