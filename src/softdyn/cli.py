@@ -135,9 +135,8 @@ def cmd_eigs(args):
     u0 = np.concatenate([model.q_rest, np.zeros(model.ndof)])
     try:
         ms = reduction.modal_split(model, u0, s)
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except RuntimeError as exc:  # reported by main like a failed step
+        raise StepFailure(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "eigenvalues.csv"),
                ["index", "lambda"], list(enumerate(ms.lam)))
@@ -179,7 +178,9 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StepFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        where = ", ".join(f"{a} {getattr(exc, a)}"
+                          for a in ("step", "t", "stage", "residual_norm"))
+        print(f"numerical failure ({where}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import contact as ct
 from . import expo, reduction, steppers
 from .reduction import ModalSplit, RefreshPolicy
-from .steppers import Method, MethodEntry, NewtonConfig
+from .steppers import Method, MethodEntry, NewtonConfig, StepFailure
 from .system import SimState
 
 # Every method: the difference methods plus the exponential and modal ones.
@@ -123,7 +123,11 @@ def run_simulation(model, method, h, duration,
     frames = [state]
     diags = []
     for k in range(nsteps):
-        state = adv.step(state)
+        try:
+            state = adv.step(state)
+        except StepFailure as exc:
+            exc.step, exc.t = k + 1, state.t
+            raise
         row = {"step": k + 1, "t": state.t}
         row.update(adv.last_diag)
         diags.append(row)

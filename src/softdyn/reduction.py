@@ -17,6 +17,7 @@ from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
                        _implicit_matrix, _solve_stage, _tr_stage)
 from .steppers import newton_solve  # noqa: F401  (re-exported)
+from .system import free_block
 
 DENSE_EIG_CUTOFF = 300
 
@@ -92,7 +93,7 @@ def modal_split(model, u, s, policy=RefreshPolicy.ONCE, every_n=1) -> ModalSplit
     nfree = int(free.sum())
     if s > nfree:
         raise ValueError(f"s={s} exceeds free dimension {nfree}")
-    kf = sp.csr_matrix(model.stiffness(q))[free][:, free]
+    kf = free_block(model.stiffness(q), free)
     xf, lam = smallest_eigpairs(kf, sp.diags(model.mass[free]), s)
     x = np.zeros((n, s))
     x[free] = xf
@@ -169,8 +170,8 @@ def build_JG_JH(model, u, ms: ModalSplit):
 class SmwSolver:
     """Solves (A + Y Z^T) x = rhs with one sparse factorization of A.
 
-    A is sparse (or dense) of size 2n, Y and Z are skinny. Counts solves
-    for cost diagnostics.
+    A is a ForceModel's n-space ShiftedSystem or a sparse or dense 2n
+    matrix, Y and Z are skinny (2n rows). Counts solves for cost diagnostics.
     """
 
     def __init__(self, a, y=None, z=None):

@@ -3,7 +3,8 @@ semi-implicit 'S' variants, plus Newton and optimization-based solvers. A
 semi-implicit method is its implicit twin in one-iteration mode (cfg=None).
 
 Steppers act on any system exposing ``eval_F(u)`` and ``eval_J(u)`` (J may
-be dense or sparse). The step size is kept constant by the caller.
+be dense or sparse); ForceModel's ``shifted(u, c)`` solves I - cJ in n-space
+instead. The step size is kept constant by the caller.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import contact as ct
+from .system import ShiftedSystem
 
 SDIRK_GAMMA = 2.0 - np.sqrt(2.0)
 SDIRK_BETA = np.sqrt(2.0) / 4.0
@@ -81,16 +83,20 @@ class StepFailure(RuntimeError):
         self.last_iterate = last_iterate
         self.residual_norm = residual_norm
         self.stage = stage
+        self.step = self.t = None  # run_simulation sets step index, start time
 
 
 def _factorize(jmat):
-    """Return a solve(rhs) callable for a dense/sparse matrix or pass
-    through objects that already provide .solve."""
+    """Return a solve(rhs) callable for a ShiftedSystem or a dense/sparse
+    matrix, or pass through objects that already provide .solve."""
+    if isinstance(jmat, ShiftedSystem):
+        lu = spla.splu(jmat.a_ff, permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True})  # etree of A + A^T
+        return lambda r: jmat.solve(lu.solve, r)
     if hasattr(jmat, "solve") and not sp.issparse(jmat):
         return jmat.solve
     if sp.issparse(jmat):
-        lu = spla.splu(jmat.tocsc())
-        return lu.solve
+        return spla.splu(jmat.tocsc()).solve
     jmat = np.asarray(jmat)
     if jmat.shape == (1, 1):
         val = float(jmat[0, 0])
@@ -100,12 +106,13 @@ def _factorize(jmat):
 
 
 def _implicit_matrix(model, u, c):
-    """I - c J(u): sparse CSC when J is sparse, dense otherwise."""
+    """I - c J(u): ``model.shifted`` if present, else CSC or dense like J."""
+    if hasattr(model, "shifted"):
+        return model.shifted(u, c)
     j = model.eval_J(u)
-    n = j.shape[0]
     if sp.issparse(j):
-        return (sp.identity(n) - c * j).tocsc()
-    return np.eye(n) - c * np.asarray(j)
+        return (sp.identity(j.shape[0]) - c * j).tocsc()
+    return np.eye(j.shape[0]) - c * np.asarray(j)
 
 
 def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):

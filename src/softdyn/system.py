@@ -1,12 +1,14 @@
 """First-order assembly u' = F(u) = J u + (0; c) for the FEM model.
 
 ForceModel stacks elastic, Rayleigh, contact, friction and gravity forces
-and exposes F, its block Jacobian, and the remainder c. Fixed-vertex rows
-are masked to zero; mass is applied explicitly (diagonal lumped M).
+and exposes F, its block Jacobian, the remainder c and I - cJ in n-space.
+Fixed-vertex rows are masked to zero; mass is applied explicitly (diagonal
+lumped M).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,14 @@ class SimState:
         return SimState(u[:n], u[n:], t, history)
 
 
+def free_block(mat, free):
+    """The free-by-free block of an n x n matrix, as CSR."""
+    return sp.csr_matrix(mat)[free][:, free]
+
+
+ShiftedSystem = namedtuple("ShiftedSystem", "a_ff solve")
+
+
 class ForceModel:
     """Aggregate force model over a mesh; the system every stepper integrates."""
 
@@ -63,6 +73,7 @@ class ForceModel:
         self._memo = {}
         if mat.model is Material.LINEAR:
             self._k_linear = fem.stiffness_matrix(mesh, mat, self.q_rest)
+            self._k_linear.eliminate_zeros()  # element sums that cancel
 
     def _cached(self, name, kernel, params, q):
         """kernel(mesh, params, q), kept for the last q seen under name:
@@ -128,30 +139,46 @@ class ForceModel:
         out[n:] = np.where(self.free, acc, 0.0)
         return out
 
-    def eval_J(self, u) -> sp.csr_matrix:
-        """Block Jacobian [[0, I], [-M^-1 K_eff, -M^-1 D_eff]], masked."""
-        n = self.ndof
-        q, v = u[:n], u[n:]
+    def _tangents(self, u):
+        """(K_eff, D_eff) with contact and friction terms, unmasked."""
+        q, v = np.split(u, 2)
         k = self.stiffness(q)
         d = fem.rayleigh_damping(k, sp.diags(self.mass), self.rayleigh)
         if self.contact is not None:
             cs = self._contact_set(q)
             k = k - ct.contact_stiffness(self.mesh, cs, self.contact, q)
             d = d - ct.friction_velocity_jacobian(self.mesh, cs, self.contact, q, v)
-        minv = sp.diags(self.minv)
+        return k, d
+
+    def eval_J(self, u) -> sp.csr_matrix:
+        """Block Jacobian [[0, I], [-M^-1 K_eff, -M^-1 D_eff]], masked."""
+        k, d = self._tangents(u)
         mask = sp.diags(self.free.astype(float))
-        eye = sp.identity(n, format="csr")
-        top = sp.hstack([sp.csr_matrix((n, n)), mask @ eye])
-        bot = sp.hstack([-(mask @ minv @ k @ mask), -(mask @ minv @ d @ mask)])
-        return sp.vstack([top, bot]).tocsr()
+        pm = mask @ sp.diags(self.minv)
+        return sp.bmat([[None, mask], [-(pm @ k @ mask), -(pm @ d @ mask)]],
+                       format="csr")
+
+    def shifted(self, u, c) -> ShiftedSystem:
+        """I - c J(u) in n-space (Baraff & Witkin, "Large Steps in Cloth
+        Simulation", 1998): a_ff = (M + c D_eff + c^2 K_eff)_ff, to factor,
+        and solve(solve_ff, r) for r = (a; b) of shape (2n,) or (2n, k):
+        y_fixed = b_fixed, a_ff y_f = M_f b_f - c K_ff a_f, x = (a + cPy; y)."""
+        n, free, p = self.ndof, self.free, self.free[:, None]
+        k, d = self._tangents(u)
+        a_ff = free_block(sp.diags(self.mass) + c * d + (c * c) * k, free)
+
+        def solve(solve_ff, r):
+            a, b = np.split(np.reshape(r, (2 * n, -1)), 2)
+            y = b.copy()
+            y[free] = solve_ff(self.mass[free, None] * b[free]
+                               - c * (k @ (p * a))[free])
+            return np.concatenate([a + c * (p * y), y]).reshape(np.shape(r))
+
+        return ShiftedSystem(a_ff.tocsc(), solve)
 
     def eval_remainder(self, u):
         """c(u) with F(u) = J(u) u + (0; c(u)); c lives in the velocity block."""
-        n = self.ndof
-        f = self.eval_F(u)
-        j = self.eval_J(u)
-        lin = j @ u
-        return f[n:] - lin[n:]
+        return (self.eval_F(u) - self.eval_J(u) @ u)[self.ndof:]
 
 
 def state_energy(model: ForceModel, state: SimState):

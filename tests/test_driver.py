@@ -70,3 +70,20 @@ def test_advancer_rejects_unknown_name(name):
     model, _ = _beam()
     with pytest.raises(ValueError):
         Advancer(model, name, H)
+
+
+def test_run_simulation_attaches_step_and_time(monkeypatch):
+    """A StepFailure leaves run_simulation with the index and start time of
+    the step that failed."""
+    model, state = _beam()
+    step = Advancer.step
+
+    def third_fails(adv, st):
+        if st.t > 1.5 * H:
+            raise steppers.StepFailure("no", residual_norm=1.0, stage=2)
+        return step(adv, st)
+
+    monkeypatch.setattr(Advancer, "step", third_fails)
+    with pytest.raises(steppers.StepFailure) as ei:
+        sd.run_simulation(model, "BE", H, 10 * H, initial=state)
+    assert (ei.value.step, ei.value.t, ei.value.stage) == (3, 2 * H, 2)

@@ -148,6 +148,21 @@ def test_cli_numerical_failure_exit(tmp_path):
     assert rc == 3
 
 
+def test_cli_numerical_failure_says_where(scene_dir, tmp_path, capsys):
+    """A Newton that cannot converge fails TR-BDF2's first stage of step 1;
+    the CLI prints the step, its start time, the stage and the residual."""
+    d, data = scene_dir
+    data = dict(data, stepper={"method": "TRBDF2", "h": 0.01, "newton": {
+        "max_iters": 1, "abs_tol": 1e-300, "rel_tol": 1e-300}})
+    (d / "fail.json").write_text(json.dumps(data))
+    rc = cli.main(["simulate", "--scene", str(d / "fail.json"),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure (step 1, t 0.0, stage 1, residual_norm " in err
+    assert "Newton did not converge" in err
+
+
 def test_damping_curves_cli(tmp_path):
     out = tmp_path / "d"
     rc = cli.main(["damping-curves", "--methods", "BE,TR",

@@ -1,9 +1,14 @@
-"""First-order form: recomposition identity, Jacobian vs FD, spectrum."""
+"""First-order form: recomposition identity, Jacobian vs FD, spectrum, and
+the n-space solve of I - cJ against the 2n block system."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, strategies as st
 
 import softdyn as sd
+from softdyn import reduction, steppers
 
 from conftest import perturb
 
@@ -186,3 +191,128 @@ def test_each_configuration_evaluated_once(beam, rng, monkeypatch, case):
     if case == "be-contact":
         assert adv.last_diag["n_contacts"] > 0
         assert len(logs["active_set"]) >= 2
+
+
+def test_linear_stiffness_stores_no_zeros(beam, rng):
+    """The linear material's constant K drops the entries whose element
+    contributions cancel; its force equals the unpruned product exactly."""
+    mat = sd.MaterialParams(sd.Material.LINEAR, 1e5, 0.4, 1000.0)
+    model = sd.ForceModel(beam, mat, sd.RayleighParams(), (0, 0, -9.8))
+    q = rand_state(model, rng)[:model.ndof]
+    k = model.stiffness(q)
+    assert k.nnz == k.count_nonzero()
+    unpruned = sd.stiffness_matrix(beam, mat, model.q_rest)
+    assert unpruned.nnz > k.nnz
+    np.testing.assert_array_equal(model.elastic_force(q),
+                                  -(unpruned @ (q - model.q_rest)))
+
+
+def _contact_model(mesh, material, rayleigh=(0.0, 0.0)):
+    """The bottom face starts inside the barrier support of a plane."""
+    mat = sd.MaterialParams(sd.Material(material), 1e5, 0.4, 1000.0)
+    plane = sd.HalfSpace((0, 0, -0.005), (0, 0, 1))
+    contact = sd.ContactConfig((plane,), delta=0.01, kappa=100.0, mu=0.3)
+    return sd.ForceModel(mesh, mat, sd.RayleighParams(*rayleigh),
+                         (0, 0, -9.8), contact)
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2),
+       st.sampled_from([m.value for m in sd.Material]),
+       st.floats(1e-4, 0.1), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_shifted_solve_matches_block_system(nx, ny, nz, material, c, k, seed):
+    """The n-space solve of (I - cJ) x = r equals a solve with the 2n
+    block matrix, with Rayleigh damping, contact and friction active."""
+    rng = np.random.default_rng(seed)
+    mesh = sd.box_mesh(nx, ny, nz, 0.1 * nx, 0.1 * ny, 0.1 * nz, fix="left")
+    model = _contact_model(mesh, material, rng.uniform(0.001, 0.05, 2)
+                           * (1.0, 100.0))
+    n = model.ndof
+    u = np.concatenate([model.q_rest + 1e-3 * rng.uniform(-1, 1, n),
+                        0.1 * rng.standard_normal(n)])
+    assert model._contact_set(u[:n]).count > 0
+    assert not model._contact_set(u[:n]).penetrating.any()
+    ref = spla.splu((sp.identity(2 * n) - c * model.eval_J(u)).tocsc())
+    solve = steppers._factorize(steppers._implicit_matrix(model, u, c))
+    for shape in (2 * n, (2 * n, 1), (2 * n, k)):
+        r = rng.standard_normal(shape)
+        x, x_ref = solve(r), ref.solve(r)
+        assert x.shape == r.shape
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def _record_factorizations(monkeypatch):
+    """Log the shape of every SuperLU factorization and count eval_J."""
+    log = {"splu": [], "eval_J": 0}
+    splu, eval_j = spla.splu, sd.ForceModel.eval_J
+
+    def recorded_splu(a, *args, **kwargs):
+        log["splu"].append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    def counted_eval_j(self, u):
+        log["eval_J"] += 1
+        return eval_j(self, u)
+
+    monkeypatch.setattr(spla, "splu", recorded_splu)
+    monkeypatch.setattr(sd.ForceModel, "eval_J", counted_eval_j)
+    return log
+
+
+@pytest.mark.parametrize("method", ["TRBDF2", "STRSBDF2ERE", "BE-contact"])
+def test_force_model_factors_only_free_block(beam, rng, monkeypatch, method):
+    """A ForceModel step factors n_free x n_free matrices only, and never
+    assembles the 2n block Jacobian."""
+    if method == "BE-contact":
+        model = _contact_model(sd.box_mesh(1, 1, 1, 0.2, 0.2, 0.2),
+                               "stable_neo_hookean")
+        u = np.concatenate([model.q_rest, np.zeros(model.ndof)])
+    else:
+        mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4,
+                                1000.0)
+        model = sd.ForceModel(beam, mat, sd.RayleighParams(0.01, 0.5),
+                              (0, 0, -9.8))
+        u = rand_state(model, rng)
+        u[:model.ndof] = model.q_rest  # a positive definite K for the split
+    adv = sd.Advancer(model, method.split("-")[0], 0.01,
+                      red=sd.ReductionConfig(s=4))
+    log = _record_factorizations(monkeypatch)
+    adv.step(sd.SimState.from_u(u))
+    nfree = int(model.free.sum())
+    assert log["splu"] and set(log["splu"]) == {(nfree, nfree)}
+    assert log["eval_J"] == 0
+    if method == "BE-contact":
+        assert adv.last_diag["n_contacts"] > 0
+
+
+_SPLU = spla.splu
+
+
+def _failing_splu(monkeypatch, fail_from=0):
+    """splu raises SuperLU's singular-factor error from call fail_from on."""
+    calls = []
+
+    def failing(a, *args, **kwargs):
+        calls.append(1)
+        if len(calls) > fail_from:
+            raise RuntimeError("Factor is exactly singular")
+        return _SPLU(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", failing)
+
+
+def test_superlu_errors_raise_step_failure(model, rng, monkeypatch):
+    """A failed n-space factorization surfaces as StepFailure on the Newton,
+    the one-iteration and the SMW path."""
+    u0 = rand_state(model, rng)
+    u0[:model.ndof] = model.q_rest  # a positive definite K for the split
+    ms = reduction.modal_split(model, u0, 4)
+    _failing_splu(monkeypatch)
+    with pytest.raises(steppers.StepFailure):
+        steppers.step_be(model, u0, 0.01)
+    with pytest.raises(steppers.StepFailure) as ei:
+        steppers.step_strbdf2(model, u0, 0.01)
+    assert ei.value.stage == 1
+    _failing_splu(monkeypatch, fail_from=1)  # stage 1 factors, SMW fails
+    with pytest.raises(steppers.StepFailure) as ei:
+        reduction.strsbdf2ere_step(model, u0, 0.01, ms)
+    assert ei.value.stage == 2
