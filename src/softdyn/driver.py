@@ -16,25 +16,14 @@ from .system import SimState
 # Every method: the difference methods plus the exponential and modal ones.
 METHODS = {
     **steppers.METHODS,
-    Method.ERE: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag: expo.ere_step(model, u, h)),
-    Method.SIERE: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        reduction.siere_step(model, u, h, ms, diag), modal=True),
-    Method.BEERE: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        reduction.beere_step(model, u, h, ms, cfg), modal=True),
-    Method.BDF2ERE: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        reduction.bdf2ere_step(model, u, um1, h, ms, cfg),
-        history=2, modal=True),
-    Method.SBDF2ERE: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        reduction.sbdf2ere_step(model, u, um1, h, ms, diag),
-        history=2, modal=True),
-    Method.STRSBDF2ERE: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        reduction.strsbdf2ere_step(model, u, h, ms, diag), modal=True),
+    Method.ERE: MethodEntry(expo.ere_step),
+    Method.SIERE: MethodEntry(reduction.siere_step, modal=True),
+    Method.BEERE: MethodEntry(reduction.beere_step, modal=True, newton=True),
+    Method.BDF2ERE: MethodEntry(reduction.bdf2ere_step, history=2,
+                                modal=True, newton=True),
+    Method.SBDF2ERE: MethodEntry(reduction.sbdf2ere_step, history=2,
+                                 modal=True),
+    Method.STRSBDF2ERE: MethodEntry(reduction.strsbdf2ere_step, modal=True),
 }
 
 
@@ -85,6 +74,7 @@ class Advancer:
             diag["lam_max"] = float(ms.lam.max()) if ms.s else 0.0
             diag["refreshes"] = ms.refresh_count
 
+        clamps = model.gap_clamps
         u1 = self.entry.step(model, u0, um1, h, self.newton, self.split, diag)
 
         if self.model.contact is not None:
@@ -97,6 +87,7 @@ class Advancer:
             diag["max_lambda"] = float(lam.max()) if cs.count else 0.0
             ff = ct.friction_force(model.mesh, cs, model.contact, q1, v1)
             diag["friction_power"] = float(np.dot(v1, ff))
+            diag["gap_clamps"] = model.gap_clamps - clamps
         self.last_diag = diag
         return SimState.from_u(u1, state.t + h,
                                history=SimState.from_u(u0, state.t))

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 DEFAULT_KRYLOV_DIM = 30
 DEFAULT_KRYLOV_TOL = 1e-10
@@ -43,12 +42,11 @@ def phi1_action_krylov(j, w, h, m=DEFAULT_KRYLOV_DIM, tol=DEFAULT_KRYLOV_TOL):
     beta = np.linalg.norm(w)
     if beta == 0.0 or h == 0.0:
         return np.zeros(n)
-    matvec = (lambda x: j @ x) if sp.issparse(j) else (lambda x: np.asarray(j) @ x)
     v = np.zeros((m + 1, n))
     hess = np.zeros((m + 1, m))
     v[0] = w / beta
     for jcol in range(m):
-        z = matvec(v[jcol])
+        z = j @ v[jcol]
         for i in range(jcol + 1):
             hess[i, jcol] = np.dot(v[i], z)
             z -= hess[i, jcol] * v[i]

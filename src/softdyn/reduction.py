@@ -6,7 +6,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -160,13 +159,6 @@ def _jg_apply(model, ms: ModalSplit, w):
     return _prolong(ms, yv, -(ms.lam * yq))
 
 
-def build_JG_JH(model, u, ms: ModalSplit):
-    """(apply_JG, apply_JH) as matrix-free callables; J_H = J_full - J_G."""
-    j = model.eval_J(u)
-    apply_jg = partial(_jg_apply, model, ms)
-    return apply_jg, lambda w: j @ w - apply_jg(w)
-
-
 class SmwSolver:
     """Solves (A + Y Z^T) x = rhs with one sparse factorization of A.
 
@@ -250,9 +242,9 @@ def _h_implicit(model, u0, um1, h, ms: ModalSplit, cfg, diag=None):
     return u1
 
 
-def beere_step(model, u0, h, ms: ModalSplit, cfg=NewtonConfig()):
+def beere_step(model, u0, h, ms: ModalSplit, cfg=NewtonConfig(), diag=None):
     """BEERE: u1 = u0 + h H(u1) + h phi1(h J_G) G(u0); cfg=None gives SIERE."""
-    return _h_implicit(model, u0, None, h, ms, cfg)
+    return _h_implicit(model, u0, None, h, ms, cfg, diag)
 
 
 def siere_step(model, u0, h, ms: ModalSplit, diag=None):
@@ -260,9 +252,10 @@ def siere_step(model, u0, h, ms: ModalSplit, diag=None):
     return _h_implicit(model, u0, None, h, ms, None, diag)
 
 
-def bdf2ere_step(model, u0, um1, h, ms: ModalSplit, cfg=NewtonConfig()):
+def bdf2ere_step(model, u0, um1, h, ms: ModalSplit, cfg=NewtonConfig(),
+                 diag=None):
     """BDF2ERE: ERE on the modal part, BDF2 in H; cfg=None gives SBDF2ERE."""
-    return _h_implicit(model, u0, um1, h, ms, cfg)
+    return _h_implicit(model, u0, um1, h, ms, cfg, diag)
 
 
 def sbdf2ere_step(model, u0, um1, h, ms: ModalSplit, diag=None):

@@ -52,14 +52,24 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class MethodEntry:
-    """One row of the method table: ``step(model, u0, um1, h, newton,
-    split, diag)`` advances one step, reading the previous state ``um1``
-    when ``history`` is 2 and the ModalSplit ``split`` when ``modal``; it
-    may fill the dict ``diag`` with counts."""
+    """One row of the method table, as data. The public step function
+    ``fn`` takes ``(model, u0, [um1,] h, [split,] [newton,] [diag])``: the
+    previous state ``um1`` when ``history`` is 2, the ModalSplit ``split``
+    and the counts dict ``diag`` when ``modal``, and the NewtonConfig
+    ``newton`` when ``newton``."""
 
-    step: Callable
+    fn: Callable
     history: int = 1
     modal: bool = False
+    newton: bool = False
+
+    def step(self, model, u0, um1, h, newton, split, diag):
+        """Advance one step by fn, passing the arguments of this row."""
+        args = [model, u0, um1, h] if self.history == 2 else [model, u0, h]
+        args += [split] if self.modal else []
+        args += [newton] if self.newton else []
+        args += [diag] if self.modal else []
+        return self.fn(*args)
 
 
 @dataclass(frozen=True)
@@ -262,28 +272,15 @@ def step_ssdirk(model, u0, h):
 # The difference methods. driver.METHODS adds the exponential and modal
 # ones; no other place lists method names.
 METHODS = {
-    Method.BE: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag: step_be(model, u, h, cfg)),
-    Method.SI: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag: step_si(model, u, h)),
-    Method.TR: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag: step_tr(model, u, h, cfg)),
-    Method.BDF2: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        step_bdf2(model, u, um1, h, cfg), history=2),
-    Method.SBDF2: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        step_sbdf2(model, u, um1, h), history=2),
-    Method.TRBDF2: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        step_trbdf2(model, u, h, cfg)),
-    Method.STRBDF2: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag: step_strbdf2(model, u, h)),
-    Method.SDIRK: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag:
-        step_sdirk(model, u, h, cfg)),
-    Method.SSDIRK: MethodEntry(
-        lambda model, u, um1, h, cfg, ms, diag: step_ssdirk(model, u, h)),
+    Method.BE: MethodEntry(step_be, newton=True),
+    Method.SI: MethodEntry(step_si),
+    Method.TR: MethodEntry(step_tr, newton=True),
+    Method.BDF2: MethodEntry(step_bdf2, history=2, newton=True),
+    Method.SBDF2: MethodEntry(step_sbdf2, history=2),
+    Method.TRBDF2: MethodEntry(step_trbdf2, newton=True),
+    Method.STRBDF2: MethodEntry(step_strbdf2),
+    Method.SDIRK: MethodEntry(step_sdirk, newton=True),
+    Method.SSDIRK: MethodEntry(step_ssdirk),
 }
 
 

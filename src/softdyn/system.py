@@ -1,7 +1,7 @@
 """First-order assembly u' = F(u) = J u + (0; c) for the FEM model.
 
 ForceModel stacks elastic, Rayleigh, contact, friction and gravity forces
-and exposes F, its block Jacobian, the remainder c and I - cJ in n-space.
+and exposes F, its block Jacobian and I - cJ in n-space.
 Fixed-vertex rows are masked to zero; mass is applied explicitly (diagonal
 lumped M).
 """
@@ -71,6 +71,7 @@ class ForceModel:
         self.q_rest = mesh.rest_positions.reshape(-1)
         self._k_linear = None
         self._memo = {}
+        self.gap_clamps = 0  # clamped contacts of every contact set computed
         if mat.model is Material.LINEAR:
             self._k_linear = fem.stiffness_matrix(mesh, mat, self.q_rest)
             self._k_linear.eliminate_zeros()  # element sums that cancel
@@ -112,7 +113,13 @@ class ForceModel:
     def _contact_set(self, q):
         if self.contact is None:
             return None
-        return self._cached("contact", ct.active_set, self.contact, q)
+        return self._cached("contact", self._active_set, self.contact, q)
+
+    def _active_set(self, mesh, cfg, q):
+        """contact.active_set, counting its clamped contacts in gap_clamps."""
+        cs = ct.active_set(mesh, cfg, q)
+        self.gap_clamps += int(cs.penetrating.sum())
+        return cs
 
     def total_force(self, q, v):
         """f_tot = f_els + f_dmp + f_con + f_ext (unmasked)."""
@@ -175,10 +182,6 @@ class ForceModel:
             return np.concatenate([a + c * (p * y), y]).reshape(np.shape(r))
 
         return ShiftedSystem(a_ff.tocsc(), solve)
-
-    def eval_remainder(self, u):
-        """c(u) with F(u) = J(u) u + (0; c(u)); c lives in the velocity block."""
-        return (self.eval_F(u) - self.eval_J(u) @ u)[self.ndof:]
 
 
 def state_energy(model: ForceModel, state: SimState):

@@ -86,17 +86,12 @@ def test_jg_matches_modal_jacobian():
     model = _model()
     u = _rest_u(model)
     ms = reduction.modal_split(model, u, 4)
-    apply_jg, apply_jh = reduction.build_JG_JH(model, u, ms)
-    j = model.eval_J(u)
-    rng = np.random.default_rng(7)
-    w = rng.standard_normal(2 * model.ndof)
-    assert np.linalg.norm(apply_jg(w) + apply_jh(w) - j @ w) < 1e-10
     # on a modal vector, J_G acts as the 2x2 block [[0,1],[-lam,0]]
     n = model.ndof
     wm = np.zeros(2 * n)
     wm[:n] = ms.x[:, 1]
     wm[n:] = 2.0 * ms.x[:, 1]
-    out = apply_jg(wm)
+    out = reduction._jg_apply(model, ms, wm)
     np.testing.assert_allclose(out[:n], 2.0 * ms.x[:, 1], atol=1e-10)
     np.testing.assert_allclose(out[n:], -ms.lam[1] * ms.x[:, 1], atol=1e-8)
 
@@ -118,9 +113,9 @@ def test_smw_h_solver_matches_dense():
     u = _rest_u(model)
     ms = reduction.modal_split(model, u, 5)
     h = 0.02
-    apply_jg, _ = reduction.build_JG_JH(model, u, ms)
     n2 = 2 * model.ndof
-    jg = np.column_stack([apply_jg(e) for e in np.eye(n2)])
+    jg = np.column_stack([reduction._jg_apply(model, ms, e)
+                          for e in np.eye(n2)])
     jh = model.eval_J(u).toarray() - jg
     rng = np.random.default_rng(2)
     solver = reduction._h_solver(model, u, ms, h)
@@ -337,6 +332,55 @@ def test_refresh_policies():
         assert ms.refresh_count == 0
     ms = reduction.refresh_split(model, u, ms)
     assert ms.refresh_count == 1
+
+
+def test_refresh_keeps_split_when_eigensolve_fails(monkeypatch):
+    """A failed eigen refresh warns and keeps the previous eigenpairs; the
+    step counts as one without a refresh."""
+    model = _model()
+    u = _rest_u(model)
+    ms = reduction.modal_split(model, u, 3, RefreshPolicy.EVERY_STEP)
+    x, lam = ms.x.copy(), ms.lam.copy()
+
+    def fails(k, m, s):
+        raise RuntimeError("eigensolver did not converge")
+
+    monkeypatch.setattr(reduction, "smallest_eigpairs", fails)
+    with pytest.warns(UserWarning, match="eigen refresh failed"):
+        ms2 = reduction.refresh_split(model, u, ms)
+    assert ms2 is ms
+    assert (ms.steps_since_refresh, ms.refresh_count) == (1, 0)
+    np.testing.assert_array_equal(ms.x, x)
+    np.testing.assert_array_equal(ms.lam, lam)
+
+
+def test_modal_split_counts_negative_eigenvalues():
+    """An indefinite K gives its negative eigenvalues first, with a warning
+    and their count on the split."""
+
+    class TwoModes:  # unit masses, K = diag(1, -16)
+        ndof = 2
+        free = np.ones(2, bool)
+        mass = np.ones(2)
+
+        def stiffness(self, q):
+            return spsp.diags([1.0, -16.0])
+
+    with pytest.warns(UserWarning, match="1 negative stiffness eigenvalue"):
+        ms = reduction.modal_split(TwoModes(), np.zeros(4), 2)
+    assert ms.negative_count == 1
+    np.testing.assert_allclose(ms.lam, [-16.0, 1.0])
+    np.testing.assert_allclose(np.abs(ms.x), [[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_smw_singular_capacitance_raises():
+    """(I + Y Z^T) with Y = e1, Z = -e1 is singular: its capacitance matrix
+    1 + Z^T Y is 0, and the solver refuses it."""
+    e1 = np.eye(4)[:, :1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        with pytest.raises(steppers.StepFailure, match="singular SMW"):
+            reduction.SmwSolver(np.eye(4), e1, -e1)
 
 
 def test_refresh_drift_is_zero_for_same_state():

@@ -244,6 +244,24 @@ def test_optimize_bdf2_matches_newton():
     assert np.linalg.norm(u_newton - u_opt) / scale < 1e-8
 
 
+def test_optimize_be_with_contact_matches_newton():
+    """The barrier enters optimize_be's potential: with frictionless
+    contact active it lands on step_be's state."""
+    mesh = sd.box_mesh(1, 1, 1, 0.1, 0.1, 0.1)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 5e4, 0.35, 1000.0)
+    plane = sd.HalfSpace((0, 0, -0.004), (0, 0, 1))
+    contact = sd.ContactConfig((plane,), delta=0.01, kappa=100.0)
+    model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8),
+                          contact)
+    v0 = np.tile([0.0, 0.0, -0.3], mesh.num_vertices)
+    u0 = np.concatenate([model.q_rest, v0])
+    assert model._contact_set(model.q_rest).count == 4
+    h = 0.01
+    u_newton = st.step_be(model, u0, h, NewtonConfig(abs_tol=1e-12))
+    u_opt = st.optimize_be(model, u0, h, tol=1e-12)
+    assert np.linalg.norm(u_newton - u_opt) / np.linalg.norm(u_newton) < 1e-10
+
+
 def test_optimize_rejects_nonintegrable():
     mesh = sd.box_mesh(1, 1, 1, 0.1, 0.1, 0.1, fix="left")
     mat = sd.MaterialParams(sd.Material.LINEAR, 5e4, 0.35, 1000.0)

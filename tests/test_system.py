@@ -1,6 +1,8 @@
 """First-order form: recomposition identity, Jacobian vs FD, spectrum, and
 the n-space solve of I - cJ against the 2n block system."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -32,15 +34,13 @@ def rand_state(model, rng, vel_scale=0.1):
 
 
 def test_recomposition_identity(model, rng):
-    """F(u) = J(u) u + (0; c(u)) exactly by construction."""
+    """F(u) and J(u) u share the position block: both are the masked v."""
+    n = model.ndof
     for _ in range(5):
         u = rand_state(model, rng)
-        f = model.eval_F(u)
-        j = model.eval_J(u)
-        c = model.eval_remainder(u)
-        full = j @ u
-        full[model.ndof:] += c
-        assert np.linalg.norm(f - full) < 1e-10 * max(1.0, np.linalg.norm(f))
+        f = model.eval_F(u)[:n]
+        ju = (model.eval_J(u) @ u)[:n]
+        assert np.linalg.norm(f - ju) < 1e-10 * max(1.0, np.linalg.norm(f))
 
 
 def test_jacobian_vs_fd(beam, rng):
@@ -191,6 +191,38 @@ def test_each_configuration_evaluated_once(beam, rng, monkeypatch, case):
     if case == "be-contact":
         assert adv.last_diag["n_contacts"] > 0
         assert len(logs["active_set"]) >= 2
+
+
+def test_gap_clamps_counted_once_per_configuration():
+    """The clamped contacts of a configuration count once, however often F
+    is evaluated there, and an Advancer step reports the clamps of the
+    contact sets it computed."""
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    plane = sd.HalfSpace((0, 0, 0.005), (0, 0, 1))  # above the bottom face
+    contact = sd.ContactConfig((plane,), delta=0.01, kappa=100.0)
+
+    def block():
+        return sd.ForceModel(sd.box_mesh(1, 1, 1, 0.2, 0.2, 0.2), mat,
+                             sd.RayleighParams(), (0, 0, -9.8), contact)
+
+    model = block()
+    u = np.concatenate([model.q_rest, np.zeros(model.ndof)])
+    with pytest.warns(UserWarning, match="4 penetrating"):
+        model.eval_F(u)
+    model.eval_F(u)
+    assert model.gap_clamps == 4
+
+    # SI from u0 stays penetrating: its first step computes the sets of
+    # u0 and u1, its second only that of u2
+    model = block()
+    adv = sd.Advancer(model, "SI", 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        state = adv.step(sd.SimState.from_u(u))
+        assert adv.last_diag["gap_clamps"] == 8
+        adv.step(state)
+    assert adv.last_diag["gap_clamps"] == 4
+    assert model.gap_clamps == 12
 
 
 def test_linear_stiffness_stores_no_zeros(beam, rng):

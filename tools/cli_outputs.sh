@@ -1,0 +1,39 @@
+#!/bin/sh
+# Snapshot what the softdyn CLI and the incline demo write, for one
+# checkout, so that two checkouts can be compared with `diff -r`.
+#
+# Usage: tools/cli_outputs.sh REPO OUT
+#
+# REPO is the root of a softdyn checkout (its src/ goes on PYTHONPATH) and
+# OUT a directory to fill. BLAS and OpenMP run on one thread, since the
+# thread count can move dense linear algebra at rounding. Warnings print
+# absolute source paths, so REPO is replaced by the token REPO in the
+# captured stderr.
+set -eu
+if [ $# -ne 2 ]; then
+    echo "usage: $0 REPO OUT" >&2
+    exit 2
+fi
+repo=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+export PYTHONPATH="$repo/src"
+cd "$repo"
+
+softdyn() {
+    python3 -m softdyn.cli "$@"
+}
+
+softdyn simulate --scene demos/assets/block_drop.json --out "$out/block_drop"
+softdyn simulate --scene demos/assets/beam_scene.json --out "$out/beam"
+softdyn damping-curves --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK,ERE \
+    --out "$out/damping"
+mkdir -p "$out/convergence"
+softdyn convergence --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK \
+    --out "$out/convergence" > "$out/convergence/stdout.txt"
+softdyn eigs --scene demos/assets/beam_scene.json --out "$out/eigs"
+python3 demos/block_on_incline_demo.py > "$out/incline_stdout.txt" \
+    2> "$out/incline_stderr.raw"
+sed "s#$repo#REPO#g" "$out/incline_stderr.raw" > "$out/incline_stderr.txt"
+rm "$out/incline_stderr.raw"
