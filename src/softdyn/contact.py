@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-# Nonpositive gaps are clamped to GAP_CLAMP_REL * delta and flagged.
+# active_set flags nonpositive gaps; the barrier functions clamp their
+# argument to GAP_CLAMP_REL * delta.
 GAP_CLAMP_REL = 1e-6
 
 
@@ -105,7 +106,8 @@ class ContactSet:
 
 
 def active_set(mesh, cfg: ContactConfig, q) -> ContactSet:
-    """Contacts inside the barrier support (d < delta), gaps clamped.
+    """Contacts inside the barrier support (d < delta), with their signed
+    gaps; a nonpositive gap is flagged in ``penetrating`` and warned of.
 
     Each surface is measured once on all surface vertices; contacts come
     surface by surface, in ``mesh.surface_vertices`` order.
@@ -119,7 +121,6 @@ def active_set(mesh, cfg: ContactConfig, q) -> ContactSet:
     if pen.any():
         warnings.warn(f"{int(pen.sum())} penetrating contact(s), gap clamped",
                       stacklevel=2)
-    gaps = np.maximum(gaps, GAP_CLAMP_REL * cfg.delta)
     ns = len(cfg.surfaces)
     return ContactSet(np.tile(mesh.surface_vertices, ns)[keep],
                       np.repeat(np.arange(ns), len(pts))[keep], gaps,

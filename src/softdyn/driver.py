@@ -53,29 +53,27 @@ class Advancer:
         u0 = state.u
         um1 = state.history.u if state.history is not None else None
         diag: dict = {}
-        if self.entry.history == 2 and um1 is None:
-            # the bootstrap forward step is the first step of the run
-            u0_new, um1 = steppers.bootstrap_history(
-                model, u0, h, cfg=self.newton)
-            self.last_diag = {"bootstrap": 1}
-            return SimState.from_u(u0_new, state.t + h,
-                                   history=SimState.from_u(um1, state.t))
-
-        if self.entry.modal:
-            if self.split is None:
-                red = self.red
-                self.split = reduction.modal_split(
-                    model, u0, red.s, red.policy, red.every_n)
-            else:
-                self.split = reduction.refresh_split(model, u0, self.split)
-            ms = self.split
-            diag["s"] = ms.s
-            diag["lam_min"] = float(ms.lam.min()) if ms.s else 0.0
-            diag["lam_max"] = float(ms.lam.max()) if ms.s else 0.0
-            diag["refreshes"] = ms.refresh_count
-
         clamps = model.gap_clamps
-        u1 = self.entry.step(model, u0, um1, h, self.newton, self.split, diag)
+        if self.entry.history == 2 and um1 is None:
+            # the bootstrap forward step is the first step of the run; a
+            # modal row takes its first split at the step after it
+            u1 = steppers.bootstrap_history(model, u0, h, cfg=self.newton)[0]
+            diag["bootstrap"] = 1
+        else:
+            if self.entry.modal:
+                if self.split is None:
+                    red = self.red
+                    self.split = reduction.modal_split(
+                        model, u0, red.s, red.policy, red.every_n)
+                else:
+                    self.split = reduction.refresh_split(model, u0, self.split)
+                ms = self.split
+                diag["s"] = ms.s
+                diag["lam_min"] = float(ms.lam.min()) if ms.s else 0.0
+                diag["lam_max"] = float(ms.lam.max()) if ms.s else 0.0
+                diag["refreshes"] = ms.refresh_count
+            u1 = self.entry.step(model, u0, um1, h, self.newton, self.split,
+                                 diag)
 
         if self.model.contact is not None:
             n = model.ndof

@@ -14,11 +14,14 @@ import scipy.sparse.linalg as spla
 
 from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
-                       _implicit_matrix, _solve_stage, _tr_stage)
+                       _implicit_matrix, _solve_stage, _splu, _tr_stage)
 from .steppers import newton_solve  # noqa: F401  (re-exported)
 from .system import free_block
 
 DENSE_EIG_CUTOFF = 300
+# Shift of the sparse eigensolve, just below zero: K - EIG_SHIFT*M stays
+# nonsingular when K is singular (a body with no fixed vertex).
+EIG_SHIFT = -1e-8
 
 
 class RefreshPolicy(enum.Enum):
@@ -51,6 +54,11 @@ def smallest_eigpairs(k, m, s):
 
     M must be SPD, K symmetric (possibly indefinite). Eigenvectors are
     M-orthonormal with a deterministic sign (largest-magnitude entry > 0).
+
+    Up to DENSE_EIG_CUTOFF unknowns the pencil is solved densely. Above it,
+    ARPACK runs in shift-invert mode about EIG_SHIFT, and its inverse of
+    K - EIG_SHIFT*M is one symmetric-mode SuperLU factor made by
+    ``steppers._splu``, the call that factors the implicit stages.
     """
     n = k.shape[0]
     if s > n:
@@ -66,9 +74,12 @@ def smallest_eigpairs(k, m, s):
         # constant one is orthogonal to the antisymmetric modes of a
         # mirror-symmetric mesh
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        k, m = sp.csr_matrix(k), sp.csr_matrix(m)
+        lu = _splu((k - EIG_SHIFT * m).tocsc())
+        opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         try:
-            lam, vec = spla.eigsh(sp.csr_matrix(k), k=s, M=sp.csr_matrix(m),
-                                  sigma=-1e-8, which="LM", v0=v0)
+            lam, vec = spla.eigsh(k, k=s, M=m, sigma=EIG_SHIFT, which="LM",
+                                  v0=v0, OPinv=opinv)
         except spla.ArpackNoConvergence as exc:
             raise RuntimeError("eigensolver did not converge") from exc
         order = np.argsort(lam)

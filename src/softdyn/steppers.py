@@ -96,12 +96,19 @@ class StepFailure(RuntimeError):
         self.step = self.t = None  # run_simulation sets step index, start time
 
 
+def _splu(a):
+    """SuperLU factor of a symmetric CSC matrix: MMD ordering on the pattern
+    of A + A^T and diagonal pivots first (symmetric mode). It serves the
+    n-space stages, the SMW solver and the eigen refresh."""
+    return spla.splu(a, permc_spec="MMD_AT_PLUS_A",
+                     options={"SymmetricMode": True})
+
+
 def _factorize(jmat):
     """Return a solve(rhs) callable for a ShiftedSystem or a dense/sparse
     matrix, or pass through objects that already provide .solve."""
     if isinstance(jmat, ShiftedSystem):
-        lu = spla.splu(jmat.a_ff, permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})  # etree of A + A^T
+        lu = _splu(jmat.a_ff)
         return lambda r: jmat.solve(lu.solve, r)
     if hasattr(jmat, "solve") and not sp.issparse(jmat):
         return jmat.solve

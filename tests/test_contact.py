@@ -109,11 +109,15 @@ def test_active_set_and_clamp():
     cs = ct.active_set(mesh, cfg, q)
     assert cs.count == 3
     assert np.all(cs.gaps > 0)
-    # penetration clamps and warns
+    # penetration is flagged and warned of; the gaps stay signed and the
+    # barrier clamps them
     q[2::3] -= 0.005
     with pytest.warns(UserWarning):
         cs2 = ct.active_set(mesh, cfg, q)
-    assert np.all(cs2.gaps > 0)
+    np.testing.assert_allclose(cs2.gaps, -0.001, rtol=1e-12)
+    assert cs2.penetrating.all()
+    clamped = ct.barrier_grad(np.full(3, ct.GAP_CLAMP_REL * DELTA), DELTA)
+    np.testing.assert_array_equal(ct.contact_lambda(cs2, cfg), -clamped)
 
 
 @pytest.mark.parametrize("scene", SCENES)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import softdyn as sd
-from softdyn import expo, reduction, steppers
+from softdyn import contact, expo, reduction, steppers
 from softdyn.driver import METHODS, Advancer, ReductionConfig
 from softdyn.steppers import Method, NewtonConfig
 
@@ -87,3 +87,37 @@ def test_run_simulation_attaches_step_and_time(monkeypatch):
     with pytest.raises(steppers.StepFailure) as ei:
         sd.run_simulation(model, "BE", H, 10 * H, initial=state)
     assert (ei.value.step, ei.value.t, ei.value.stage) == (3, 2 * H, 2)
+
+
+def _block_in_contact(plane_z):
+    """A 0.2 m SNH box over a plane at height plane_z, delta 0.01."""
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    plane = sd.HalfSpace((0, 0, plane_z), (0, 0, 1))
+    contact = sd.ContactConfig((plane,), delta=0.01, kappa=100.0, mu=0.3)
+    return sd.ForceModel(sd.box_mesh(1, 1, 1, 0.2, 0.2, 0.2), mat,
+                         sd.RayleighParams(), (0, 0, -9.8), contact)
+
+
+def test_min_gap_reports_penetration():
+    """SI from a box whose bottom face is 5 mm inside a plane stays
+    penetrating; min_gap gives the signed gap, not the barrier's clamp."""
+    model = _block_in_contact(0.005)
+    with pytest.warns(UserWarning, match="penetrating"):
+        _, rows = sd.run_simulation(model, "SI", H, 3 * H)
+    assert [r["gap_clamps"] for r in rows] == [8, 4, 4]
+    for r in rows:
+        assert r["min_gap"] == pytest.approx(-0.005, abs=5e-4)
+
+
+def test_bootstrap_step_reports_contact():
+    """The bootstrap step of a history-2 method reports the contact fields
+    of its state like every later step."""
+    model = _block_in_contact(-0.005)
+    frames, rows = sd.run_simulation(model, "BDF2", H, 3 * H)
+    fields = {"n_contacts", "min_gap", "max_lambda", "friction_power",
+              "gap_clamps"}
+    assert rows[0]["bootstrap"] == 1
+    assert fields <= set(rows[0]) and fields <= set(rows[1])
+    cs = contact.active_set(model.mesh, model.contact, frames[1].q)
+    assert rows[0]["n_contacts"] == cs.count > 0
+    assert rows[0]["min_gap"] == cs.gaps.min()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as spsp
+import scipy.sparse.linalg as spla
 
 import softdyn as sd
 from softdyn import expo, reduction, steppers
@@ -410,3 +411,74 @@ def test_sparse_eigensolve_reproducible():
     b = reduction.modal_split(model, _rest_u(model), 6)
     np.testing.assert_array_equal(a.lam, b.lam)
     np.testing.assert_array_equal(a.x, b.x)
+
+
+def _beam12():
+    """A 12x3x2 beam clamped at both ends: 396 free dofs, above the cutoff."""
+    mesh = sd.beam_mesh(12, 3, 2, 1.0, 0.25, 0.25)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    return sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8), None)
+
+
+def test_sparse_eigensolve_factors_once_in_symmetric_mode(monkeypatch):
+    """The shift-invert eigensolve factors K - sigma M once, by the
+    steppers' MMD symmetric-mode SuperLU call."""
+    model = _beam12()
+    calls = []
+    splu = spla.splu
+
+    def logged(a, **kwargs):
+        calls.append(kwargs)
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", logged)
+    reduction.modal_split(model, _rest_u(model), 6)
+    assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
+                      "options": {"SymmetricMode": True}}]
+
+
+def test_sparse_eigpairs_match_dense_at_deformed_state():
+    """Away from rest the sparse branch gives the dense eigenvalues to
+    1e-10 and eigenpairs with small residuals."""
+    model = _model(7, 3, 3)
+    red = sd.ReductionConfig(s=6, policy=RefreshPolicy.EVERY_STEP)
+    frames, _ = sd.run_simulation(model, "STRSBDF2ERE", 0.01, 0.03, red=red)
+    free = model.free
+    k = model.stiffness(frames[-1].q)
+    kf = k.toarray()[np.ix_(free, free)]
+    mf = np.diag(model.mass[free])
+    assert kf.shape[0] > reduction.DENSE_EIG_CUTOFF
+    x, lam = sd.smallest_eigpairs(kf, mf, 6)
+    ref = np.sort(scipy.linalg.eigh(kf, mf, eigvals_only=True))[:6]
+    np.testing.assert_allclose(lam, ref, rtol=1e-10)
+    res = np.linalg.norm(kf @ x - mf @ x * lam, axis=0)
+    assert res.max() < 1e-10 * np.linalg.norm(kf, 2)
+
+
+def test_refresh_keeps_split_when_factor_is_singular():
+    """A K - sigma M that SuperLU finds exactly singular makes modal_split
+    raise RuntimeError; refresh_split then warns and keeps the split."""
+
+    class Diagonal:  # unit masses, K = diag(self.k)
+        ndof = 320
+        free = np.ones(320, bool)
+        mass = np.ones(320)
+        k = np.arange(1.0, 321.0)
+
+        def stiffness(self, q):
+            return spsp.diags(self.k)
+
+    model = Diagonal()
+    u = np.zeros(2 * model.ndof)
+    ms = reduction.modal_split(model, u, 3, RefreshPolicy.EVERY_STEP)
+    x, lam = ms.x.copy(), ms.lam.copy()
+    model.k = model.k.copy()
+    model.k[5] = reduction.EIG_SHIFT  # K - EIG_SHIFT * M has a zero pivot
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        reduction.modal_split(model, u, 3)
+    with pytest.warns(UserWarning, match="eigen refresh failed"):
+        ms2 = reduction.refresh_split(model, u, ms)
+    assert ms2 is ms
+    assert (ms.steps_since_refresh, ms.refresh_count) == (1, 0)
+    np.testing.assert_array_equal(ms.x, x)
+    np.testing.assert_array_equal(ms.lam, lam)

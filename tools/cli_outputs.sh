@@ -33,6 +33,27 @@ mkdir -p "$out/convergence"
 softdyn convergence --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK \
     --out "$out/convergence" > "$out/convergence/stdout.txt"
 softdyn eigs --scene demos/assets/beam_scene.json --out "$out/eigs"
+# Every demo scene has at most 300 free dofs, which the dense eigensolver
+# takes; the 16x4x4 beam (1125 free dofs) runs the sparse one.
+mkdir -p "$out/beam16"
+python3 - "$out/beam16" <<'PY'
+import json
+import os
+import sys
+
+from softdyn import meshes
+
+out = sys.argv[1]
+meshes.save_mesh(meshes.beam_mesh(16, 4, 4, 1.0, 0.25, 0.25),
+                 os.path.join(out, "beam16.mesh"))
+with open("demos/assets/beam_scene.json") as f:
+    scene = json.load(f)
+scene["mesh"] = "beam16.mesh"
+with open(os.path.join(out, "beam16_scene.json"), "w") as f:
+    json.dump(scene, f, indent=2)
+PY
+softdyn eigs --scene "$out/beam16/beam16_scene.json" --s 10 \
+    --out "$out/eigs_beam16"
 python3 demos/block_on_incline_demo.py > "$out/incline_stdout.txt" \
     2> "$out/incline_stderr.raw"
 sed "s#$repo#REPO#g" "$out/incline_stderr.raw" > "$out/incline_stderr.txt"
