@@ -232,7 +232,7 @@ def _ere_subspace_term(model, u, ms: ModalSplit, h):
 
 def _h_implicit(model, u0, um1, h, ms: ModalSplit, cfg, diag=None):
     """BEERE (um1 None) or BDF2ERE by _solve_stage from u0, one SMW-factored
-    I - c J_H per iteration; diag["smw_solves"] counts the solves."""
+    I - c J_H per factorization; diag["smw_solves"] counts the solves."""
     ere = _ere_subspace_term(model, u0, ms, h)
     if um1 is None:
         base, c, extra = u0, h, ere

@@ -1,6 +1,7 @@
 """Difference time steppers: BE, SI, TR, BDF2, TR-BDF2, SDIRK and their
-semi-implicit 'S' variants, plus Newton and optimization-based solvers. A
-semi-implicit method is its implicit twin in one-iteration mode (cfg=None).
+semi-implicit 'S' variants, plus the simplified Newton solver of their
+stages. A semi-implicit method is its implicit twin in one-iteration mode
+(cfg=None).
 
 Steppers act on any system exposing ``eval_F(u)`` and ``eval_J(u)`` (J may
 be dense or sparse); ForceModel's ``shifted(u, c)`` solves I - cJ in n-space
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import contact as ct
 from .system import ShiftedSystem
 
 SDIRK_GAMMA = 2.0 - np.sqrt(2.0)
@@ -30,6 +29,9 @@ SDIRK_BETA = np.sqrt(2.0) / 4.0
 DIVERGENCE_FACTOR = 1e6
 # Newton's line search halves the step at most this many times.
 MAX_HALVINGS = 30
+# Newton keeps a stage's factor while each step shrinks ||g|| to at most
+# this fraction of its value.
+CONTRACTION_THETA = 0.1
 
 
 class Method(enum.Enum):
@@ -132,15 +134,49 @@ def _implicit_matrix(model, u, c):
     return np.eye(j.shape[0]) - c * np.asarray(j)
 
 
+def _direction(jacobian_fn, solve, u, g, gnorm):
+    """(solve, -solve(g)); solve is jacobian_fn(u) factored when None."""
+    try:
+        if solve is None:
+            solve = _factorize(jacobian_fn(u))
+        return solve, -solve(g)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise StepFailure(f"linear solve failed: {exc}", u, gnorm) from exc
+
+
+def _line_search(residual_fn, u, g, du):
+    """Halve the step along du until the merit ||g||^2 drops. Returns
+    (u_new, g_new, cut), cut when the full step was not taken, or None
+    after MAX_HALVINGS halvings."""
+    phi0 = np.dot(g, g)
+    step = 1.0
+    for halvings in range(MAX_HALVINGS + 1):
+        u_try = u + step * du
+        g_try = residual_fn(u_try)
+        if np.dot(g_try, g_try) < phi0 or not np.isfinite(phi0):
+            return u_try, g_try, halvings > 0
+        step *= 0.5
+    return None
+
+
 def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
-    """Damped Newton with step halving on the merit ||g||^2.
+    """Simplified Newton with step halving on the merit ||g||^2 (Hairer and
+    Wanner, Solving ODEs II, Sec. IV.8).
 
     ``jacobian_fn(u)`` returns the residual Jacobian (dense, sparse, or an
-    object with .solve). Raises StepFailure on non-convergence.
+    object with .solve). It is factored at the first iterate, and that
+    factor is kept while every step contracts the residual,
+    ||g_new|| <= CONTRACTION_THETA ||g||, at full length. A step that fails
+    the test or that the line search cut refactors at the next iterate. A
+    line search exhausted on a kept factor refactors at the current
+    iterate and retries. Convergence is judged on the true residual.
+    Raises StepFailure on non-convergence, on a failed linear solve, or on
+    a line search exhausted from a fresh factor.
     """
     u = np.array(guess, dtype=float)
     g = residual_fn(u)
     g0_norm = np.linalg.norm(g)
+    solve = None
     for it in range(cfg.max_iters + 1):
         gnorm = np.linalg.norm(g)
         if gnorm <= cfg.abs_tol or gnorm <= cfg.rel_tol * g0_norm:
@@ -148,21 +184,17 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
         if it == cfg.max_iters:
             raise StepFailure(f"Newton did not converge ({gnorm:.3e})", u,
                               gnorm)
-        try:
-            du = -_factorize(jacobian_fn(u))(g)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            raise StepFailure(f"linear solve failed: {exc}", u, gnorm) from exc
-        phi0 = np.dot(g, g)
-        step = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            u_try = u + step * du
-            g_try = residual_fn(u_try)
-            if np.dot(g_try, g_try) < phi0 or not np.isfinite(phi0):
-                break
-            step *= 0.5
-        else:
+        kept = solve is not None
+        solve, du = _direction(jacobian_fn, solve, u, g, gnorm)
+        found = _line_search(residual_fn, u, g, du)
+        if found is None and kept:
+            solve, du = _direction(jacobian_fn, None, u, g, gnorm)
+            found = _line_search(residual_fn, u, g, du)
+        if found is None:
             raise StepFailure("line search exhausted", u, gnorm)
-        u, g = u_try, g_try
+        u, g, cut = found
+        if cut or np.linalg.norm(g) > CONTRACTION_THETA * gnorm:
+            solve = None
 
 
 def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None):
@@ -301,74 +333,3 @@ def bootstrap_history(model, u0, h, policy: Method = Method.SDIRK,
     if entry is None or entry.history != 1:
         raise ValueError(f"{policy} is not a one-step bootstrap policy")
     return entry.step(model, u0, None, h, cfg, None, None), u0
-
-
-# -- optimization-based solvers (integrable forces only) -----------------
-
-
-def _check_integrable(model):
-    if getattr(model, "contact", None) is not None and model.contact.mu > 0:
-        raise ValueError("optimization stepper requires integrable forces "
-                         "(no friction)")
-    ray = getattr(model, "rayleigh", None)
-    if ray is not None and (ray.alpha or ray.beta):
-        raise ValueError("optimization stepper does not support explicit "
-                         "damping")
-
-
-def _potential(model, q):
-    """Total integrable potential: elastic + gravity + contact barrier."""
-    w = model.elastic_energy(q) + model.gravity_energy(q)
-    if getattr(model, "contact", None) is not None:
-        cs = model._contact_set(q)
-        w += model.contact.kappa * float(
-            np.sum(ct.barrier_value(cs.gaps, model.contact.delta)))
-    return w
-
-
-def _optimize(model, u0, q_base, v_target, coeff, tol):
-    """Minimize 0.5*||v1 - v_target||_M^2 + W(q_base + coeff*v1) over the
-    free velocities, starting from u0's; returns u1 = (q1, v1)."""
-    _check_integrable(model)
-    free = model.free
-    mass = model.mass
-    v0 = u0[model.ndof:]
-
-    def objective(v1f):
-        v1 = np.where(free, v1f, 0.0)
-        q1 = q_base + coeff * v1
-        dv = v1 - v_target
-        val = 0.5 * float(np.dot(dv, mass * dv)) + _potential(model, q1)
-        grad = mass * dv - coeff * model.total_force(q1, v1)
-        return val, np.where(free, grad, 0.0)
-
-    res = scipy.optimize.minimize(objective, np.where(free, v0, 0.0),
-                                  jac=True, method="L-BFGS-B",
-                                  options={"gtol": tol, "ftol": 0.0,
-                                           "maxiter": 2000})
-    # L-BFGS alone stalls well above round-off on stiff problems; for
-    # integrable forces (gradient of W = -total_force) a stationary point
-    # solves u1 = (q_base, v_target) + coeff F(u1), so Newton finishes
-    v1 = np.where(free, res.x, 0.0)
-    u1 = _implicit_stage(model, np.concatenate([q_base, v_target]), coeff,
-                         np.concatenate([q_base + coeff * v1, v1]),
-                         NewtonConfig())
-    grad_norm = np.linalg.norm(objective(u1[model.ndof:])[1])
-    if grad_norm > max(100 * tol, 1e-6):
-        raise StepFailure(f"optimizer stationarity {grad_norm:.3e}", u1)
-    return u1
-
-
-def optimize_be(model, u0, h, tol=1e-10):
-    """BE via minimizing 0.5*||v1 - v0||_M^2 + W(q0 + h v1)."""
-    n = model.ndof
-    return _optimize(model, u0, u0[:n], u0[n:], h, tol)
-
-
-def optimize_bdf2(model, u0, um1, h, tol=1e-10):
-    """BDF2 via minimizing 0.5*||v1 - vtilde||_M^2 + W(q1)."""
-    n = model.ndof
-    q0, v0 = u0[:n], u0[n:]
-    qm1, vm1 = um1[:n], um1[n:]
-    return _optimize(model, u0, q0 + (q0 - qm1) / 3.0, v0 + (v0 - vm1) / 3.0,
-                     2.0 * h / 3.0, tol)

@@ -1,9 +1,11 @@
 """Integrator oracles: scalar closed forms, linear-system exactness checks,
-order of accuracy, Newton behavior, optimization cross-checks."""
+order of accuracy, Newton behavior."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import softdyn as sd
 from softdyn import steppers as st
@@ -216,57 +218,76 @@ def test_singular_stage_raises_step_failure():
         st.step_be(SparseScalar(10.0), np.array([1.0]), 0.1)
 
 
-def _grav_model():
-    mesh = sd.box_mesh(1, 1, 1, 0.1, 0.1, 0.1, fix="left")
-    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 5e4, 0.35, 1000.0)
-    return sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8), None)
+def test_simplified_newton_linear_is_one_direct_solve(rng):
+    # one factor, one full step: the result is the direct solve's, bit for bit
+    a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    b = rng.standard_normal(6)
+    at = []
+
+    def jac(u):
+        at.append(u.copy())
+        return a
+
+    u = st.newton_solve(lambda u: a @ u - b, jac, np.zeros(6), NewtonConfig())
+    assert len(at) == 1
+    np.testing.assert_array_equal(
+        u, scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b))
 
 
-def test_optimize_be_matches_newton():
-    model = _grav_model()
-    u0 = np.concatenate([model.q_rest, np.zeros(model.ndof)])
-    h = 0.01
-    u_newton = st.step_be(model, u0, h, NewtonConfig(abs_tol=1e-12))
-    u_opt = st.optimize_be(model, u0, h, tol=1e-12)
-    scale = max(1.0, np.linalg.norm(u_newton))
-    assert np.linalg.norm(u_newton - u_opt) / scale < 1e-8
+def test_simplified_newton_factors_per_trbdf2_step(monkeypatch):
+    mesh = sd.beam_mesh(8, 2, 2, 1.0, 0.25, 0.25)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8), None)
+    splu, calls = spla.splu, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    u = np.concatenate([model.q_rest, np.zeros(model.ndof)])
+    for _ in range(20):
+        u = st.step_trbdf2(model, u, 1.0 / 60.0)
+    assert len(calls) / 20 <= 3.0  # a fresh factor per iteration gives 5.8
 
 
-def test_optimize_bdf2_matches_newton():
-    model = _grav_model()
-    u0 = np.concatenate([model.q_rest, np.zeros(model.ndof)])
-    h = 0.01
-    u1, um1 = st.bootstrap_history(model, u0, h, Method.SDIRK,
-                                   NewtonConfig(abs_tol=1e-12))
-    u_newton = st.step_bdf2(model, u1, um1, h, NewtonConfig(abs_tol=1e-12))
-    u_opt = st.optimize_bdf2(model, u1, um1, h, tol=1e-12)
-    scale = max(1.0, np.linalg.norm(u_newton))
-    assert np.linalg.norm(u_newton - u_opt) / scale < 1e-8
+def _logged(g, dg):
+    """g, dg wrapped to log ("g", x) and ("J", x) per call."""
+    log = []
+
+    def res(x):
+        log.append(("g", x[0]))
+        return np.array([g(x[0])])
+
+    def jac(x):
+        log.append(("J", x[0]))
+        return np.array([[dg(x[0])]])
+
+    return res, jac, log
 
 
-def test_optimize_be_with_contact_matches_newton():
-    """The barrier enters optimize_be's potential: with frictionless
-    contact active it lands on step_be's state."""
-    mesh = sd.box_mesh(1, 1, 1, 0.1, 0.1, 0.1)
-    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 5e4, 0.35, 1000.0)
-    plane = sd.HalfSpace((0, 0, -0.004), (0, 0, 1))
-    contact = sd.ContactConfig((plane,), delta=0.01, kappa=100.0)
-    model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8),
-                          contact)
-    v0 = np.tile([0.0, 0.0, -0.3], mesh.num_vertices)
-    u0 = np.concatenate([model.q_rest, v0])
-    assert model._contact_set(model.q_rest).count == 4
-    h = 0.01
-    u_newton = st.step_be(model, u0, h, NewtonConfig(abs_tol=1e-12))
-    u_opt = st.optimize_be(model, u0, h, tol=1e-12)
-    assert np.linalg.norm(u_newton - u_opt) / np.linalg.norm(u_newton) < 1e-10
+def test_simplified_newton_refactors_on_slow_contraction():
+    # x^2 - 4 from 3: the full first step only contracts |g| by 0.139 > theta,
+    # so the next iterate refactors even though the line search did not cut
+    res, jac, log = _logged(lambda x: x * x - 4.0, lambda x: 2.0 * x)
+    cfg = NewtonConfig(abs_tol=1e-12, rel_tol=1e-15)
+    x = st.newton_solve(res, jac, np.array([3.0]), cfg)
+    factored_at = [v for kind, v in log if kind == "J"]
+    assert factored_at == [3.0, 3.0 - 5.0 / 6.0]
+    assert abs(x[0] * x[0] - 4.0) <= cfg.abs_tol
 
 
-def test_optimize_rejects_nonintegrable():
-    mesh = sd.box_mesh(1, 1, 1, 0.1, 0.1, 0.1, fix="left")
-    mat = sd.MaterialParams(sd.Material.LINEAR, 5e4, 0.35, 1000.0)
-    model = sd.ForceModel(mesh, mat, sd.RayleighParams(0.1, 0.1),
-                          (0, 0, -9.8), None)
-    u0 = np.concatenate([model.q_rest, np.zeros(model.ndof)])
-    with pytest.raises(ValueError):
-        st.optimize_be(model, u0, 0.01)
+def test_simplified_newton_refactors_when_kept_direction_ascends():
+    # (x + 1/2) x (x - 3) from 1.49: the first step contracts |g| by 80x
+    # and lands where g' has flipped sign, so the kept factor's direction
+    # raises |g| at every length; the solve refactors there and converges
+    res, jac, log = _logged(lambda x: (x + 0.5) * x * (x - 3.0),
+                            lambda x: 3.0 * x * x - 5.0 * x - 1.5)
+    cfg = NewtonConfig(abs_tol=1e-12, rel_tol=1e-15)
+    x = st.newton_solve(res, jac, np.array([1.49]), cfg)
+    kinds = [kind for kind, _ in log]
+    first, second = [i for i, k in enumerate(kinds) if k == "J"][:2]
+    x1 = log[first + 1][1]  # the accepted full step from the first factor
+    assert log[second] == ("J", x1)
+    assert kinds[first + 2:second] == ["g"] * (st.MAX_HALVINGS + 1)
+    assert abs((x[0] + 0.5) * x[0] * (x[0] - 3.0)) <= cfg.abs_tol
