@@ -6,10 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from . import steppers
-from .steppers import Method, NewtonConfig
+from . import driver
+from .driver import Method
 
 
 @dataclass(frozen=True)
@@ -31,37 +30,42 @@ class EnergyReport:
         return self.kinetic + self.elastic + self.gravity
 
 
+class _Linear:
+    """u' = J u with constant J: one Newton iteration solves a stage."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def eval_F(self, u):
+        return self.j @ u
+
+    def eval_J(self, u):
+        return self.j
+
+
+def _step_matrix(method, j, h):
+    """One step of a non-modal method on u' = J u as a matrix, built by
+    stepping each basis vector through the method table: n x n, or for a
+    history-2 method the 2n x 2n companion taking (u0, um1) to (u1, u0)."""
+    method = Method(method.upper()) if isinstance(method, str) else method
+    entry = driver.METHODS[method]
+    if entry.modal:
+        raise ValueError(f"{method} is modal: no step matrix")
+    rig, n = _Linear(j), len(j)
+    basis = np.eye(entry.history * n)
+    top = np.column_stack([entry.step(rig, b[:n], b[n:], h, None, None, None)
+                           for b in basis])
+    return np.vstack([top, basis[:-n]])
+
+
 def amplification(method, omega, h):
-    """Companion matrix T advancing q'' + omega^2 q = 0 by one step.
+    """Companion matrix T advancing q'' + omega^2 q = 0 by one step of the
+    method's own stepper.
 
     2x2 for one-step methods, 4x4 block companion for the BDF2 family.
     """
-    method = Method(method.upper()) if isinstance(method, str) else method
-    j = np.array([[0.0, 1.0], [-omega ** 2, 0.0]])
-    eye = np.eye(2)
-    if method is Method.ERE:
-        return scipy.linalg.expm(h * j)
-    if method in (Method.BE, Method.SI):
-        return np.linalg.solve(eye - h * j, eye)
-    if method is Method.TR:
-        return np.linalg.solve(eye - 0.5 * h * j, eye + 0.5 * h * j)
-    if method in (Method.TRBDF2, Method.STRBDF2):
-        t_half = np.linalg.solve(eye - 0.25 * h * j, eye + 0.25 * h * j)
-        return np.linalg.solve(eye - (h / 3.0) * j,
-                               (4.0 / 3.0) * t_half - (1.0 / 3.0) * eye)
-    if method in (Method.SDIRK, Method.SSDIRK):
-        g, b = steppers.SDIRK_GAMMA, steppers.SDIRK_BETA
-        t_g = np.linalg.solve(eye - 0.5 * g * h * j, eye + 0.5 * g * h * j)
-        return np.linalg.solve(eye - 0.5 * g * h * j,
-                               (1.0 - 2.0 * b / g) * eye + (2.0 * b / g) * t_g)
-    if method in (Method.BDF2, Method.SBDF2):
-        s = np.linalg.solve(eye - (2.0 * h / 3.0) * j, eye)
-        t = np.zeros((4, 4))
-        t[:2, :2] = (4.0 / 3.0) * s
-        t[:2, 2:] = -(1.0 / 3.0) * s
-        t[2:, :2] = eye
-        return t
-    raise ValueError(f"unknown method {method}")
+    return _step_matrix(method, np.array([[0.0, 1.0], [-omega ** 2, 0.0]]),
+                        h)
 
 
 def spectral_radius(t):
@@ -90,23 +94,12 @@ def damping_curve(method, omega_h_grid, h=1.0) -> DampingCurve:
     return DampingCurve(name, grid, vals)
 
 
-def stability_function(method, z, newton: NewtonConfig | None = None):
-    """R(z) probed by running the actual stepper on u' = z u with h = 1."""
-
-    class _Scalar:
-        def eval_F(self, u):
-            return z * u
-
-        def eval_J(self, u):
-            return np.array([[z]])
-
-    cfg = newton or NewtonConfig(abs_tol=1e-13 * max(1.0, abs(z)))
-    method = Method(method.upper()) if isinstance(method, str) else method
-    entry = steppers.METHODS.get(method)
-    if entry is None or entry.history != 1:
+def stability_function(method, z):
+    """R(z): one step of the method on u' = z u with h = 1."""
+    t = _step_matrix(method, np.array([[z]]), 1.0)
+    if t.shape != (1, 1):
         raise ValueError(f"no one-step stability function for {method}")
-    u1 = entry.step(_Scalar(), np.array([1.0]), None, 1.0, cfg, None, None)
-    return float(u1[0])
+    return float(t[0, 0])
 
 
 def energy_report(model, states) -> EnergyReport:

@@ -232,11 +232,12 @@ def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
 def _divergence_guard(model, u0, step):
     """u1 = step(); warns when the step inflated ||F|| by over
     DIVERGENCE_FACTOR. ||F(u0)|| is taken first, where the model's memo
-    of u0's elastic force still serves the step's own F(u0)."""
+    of u0's elastic force still serves the step's own F(u0). F(u0) = 0
+    gives no scale, and then nothing is compared."""
     f0 = np.linalg.norm(model.eval_F(u0))
     u1 = step()
     f1 = np.linalg.norm(model.eval_F(u1))
-    if f1 > DIVERGENCE_FACTOR * max(f0, 1e-300):
+    if f0 > 0.0 and f1 > DIVERGENCE_FACTOR * f0:
         warnings.warn("semi-implicit step increased ||F|| by > 1e6, "
                       "possible divergence", stacklevel=3)
     return u1

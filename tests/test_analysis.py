@@ -1,12 +1,58 @@
 """Damping curves, amplification matrices, convergence measurement."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, strategies as hst
 
 import softdyn as sd
 from softdyn import analysis
 
 from conftest import LinearModel
+
+NON_MODAL = ("BE", "SI", "TR", "BDF2", "SBDF2", "TRBDF2", "STRBDF2", "SDIRK",
+             "SSDIRK", "ERE")
+CLI_GRID = np.geomspace(1e-2, 1e2, 64)
+
+
+def closed_form_amplification(method, omega, h):
+    """The one-step matrices written out from each method's coefficients,
+    independent of the steppers: 2x2, or the 4x4 companion on (u0, um1)
+    for the BDF2 family."""
+    j = np.array([[0.0, 1.0], [-omega ** 2, 0.0]])
+    eye = np.eye(2)
+    if method == "ERE":
+        return scipy.linalg.expm(h * j)
+    if method in ("BE", "SI"):
+        return np.linalg.solve(eye - h * j, eye)
+    if method == "TR":
+        return np.linalg.solve(eye - 0.5 * h * j, eye + 0.5 * h * j)
+    if method in ("TRBDF2", "STRBDF2"):
+        t_half = np.linalg.solve(eye - 0.25 * h * j, eye + 0.25 * h * j)
+        return np.linalg.solve(eye - (h / 3.0) * j,
+                               (4.0 / 3.0) * t_half - (1.0 / 3.0) * eye)
+    if method in ("SDIRK", "SSDIRK"):
+        g, b = 2.0 - np.sqrt(2.0), np.sqrt(2.0) / 4.0
+        t_g = np.linalg.solve(eye - 0.5 * g * h * j, eye + 0.5 * g * h * j)
+        return np.linalg.solve(eye - 0.5 * g * h * j,
+                               (1.0 - 2.0 * b / g) * eye + (2.0 * b / g) * t_g)
+    assert method in ("BDF2", "SBDF2")
+    s = np.linalg.solve(eye - (2.0 * h / 3.0) * j, eye)
+    t = np.zeros((4, 4))
+    t[:2, :2] = (4.0 / 3.0) * s
+    t[:2, 2:] = -(1.0 / 3.0) * s
+    t[2:, :2] = eye
+    return t
+
+
+@pytest.mark.parametrize("method", NON_MODAL)
+@given(hst.floats(1e-2, 1e2), hst.sampled_from([0.25, 1.0]))
+def test_amplification_matches_closed_form(method, omega_h, h):
+    t = analysis.amplification(method, omega_h / h, h)
+    ref = closed_form_amplification(method, omega_h / h, h)
+    assert np.linalg.norm(t - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_be_damping_closed_form():
@@ -79,6 +125,27 @@ def test_stability_function_values():
     assert np.isclose(sd.stability_function("TR", -2.0), 0.0, atol=1e-12)
     # BE amplification stays positive for real negative z (no ringing)
     assert sd.stability_function("BE", -100.0) > 0
+
+
+def test_stability_function_covers_the_table():
+    # ERE is in the method table with the exponential and modal rows
+    for z in (-3.0, -1.0, -0.01, 0.5):
+        assert np.isclose(sd.stability_function("ERE", z), np.exp(z),
+                          rtol=1e-12, atol=0.0)
+    # two-step and modal rows have no one-step stability function
+    for method in ("BDF2", "SIERE"):
+        with pytest.raises(ValueError):
+            sd.stability_function(method, -1.0)
+    with pytest.raises(ValueError):
+        sd.amplification("SIERE", 1.0, 0.1)
+
+
+@pytest.mark.parametrize("method", NON_MODAL)
+def test_damping_curve_runs_without_warnings(method):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = sd.damping_curve(method, CLI_GRID)
+    assert np.all(np.isfinite(curve.d_over_omega))
 
 
 def test_convergence_order_errors():

@@ -1,6 +1,8 @@
 """Integrator oracles: scalar closed forms, linear-system exactness checks,
 order of accuracy, Newton behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -196,6 +198,16 @@ def test_divergence_guard():
 
     with pytest.warns(UserWarning, match="divergence"):
         st.step_strbdf2(Exploding(), np.array([1.0]), 1.0)
+
+
+def test_divergence_guard_skips_zero_force_start():
+    # F(u0) = 0 at u0 = 0 gives the guard no scale, so SBDF2 stepped from
+    # (u0, um1) = (0, e1) on the oscillator raises no warning
+    m = LinearModel([[0.0, 1.0], [-100.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u1 = st.step_sbdf2(m, np.zeros(2), np.array([1.0, 0.0]), 0.1)
+    assert np.all(np.isfinite(u1))
 
 
 def test_singular_stage_raises_step_failure():

@@ -6,9 +6,10 @@
 #
 # REPO is the root of a softdyn checkout (its src/ goes on PYTHONPATH) and
 # OUT a directory to fill. BLAS and OpenMP run on one thread, since the
-# thread count can move dense linear algebra at rounding. Warnings print
-# absolute source paths, so REPO is replaced by the token REPO in the
-# captured stderr.
+# thread count can move dense linear algebra at rounding. The stderr of
+# damping-curves, convergence and the incline demo is kept, so that a
+# warning shows up in the comparison; warnings print absolute source
+# paths, so REPO is replaced by the token REPO there.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 REPO OUT" >&2
@@ -25,12 +26,23 @@ softdyn() {
     python3 -m softdyn.cli "$@"
 }
 
+# with_stderr FILE CMD...: run CMD, its stderr into FILE with REPO replaced
+with_stderr() {
+    file=$1
+    shift
+    "$@" 2> "$file.raw"
+    sed "s#$repo#REPO#g" "$file.raw" > "$file"
+    rm "$file.raw"
+}
+
 softdyn simulate --scene demos/assets/block_drop.json --out "$out/block_drop"
 softdyn simulate --scene demos/assets/beam_scene.json --out "$out/beam"
-softdyn damping-curves --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK,ERE \
+with_stderr "$out/damping_stderr.txt" softdyn damping-curves \
+    --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK,ERE \
     --out "$out/damping"
 mkdir -p "$out/convergence"
-softdyn convergence --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK \
+with_stderr "$out/convergence/stderr.txt" softdyn convergence \
+    --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK \
     --out "$out/convergence" > "$out/convergence/stdout.txt"
 softdyn eigs --scene demos/assets/beam_scene.json --out "$out/eigs"
 # Every demo scene has at most 300 free dofs, which the dense eigensolver
@@ -54,7 +66,5 @@ with open(os.path.join(out, "beam16_scene.json"), "w") as f:
 PY
 softdyn eigs --scene "$out/beam16/beam16_scene.json" --s 10 \
     --out "$out/eigs_beam16"
-python3 demos/block_on_incline_demo.py > "$out/incline_stdout.txt" \
-    2> "$out/incline_stderr.raw"
-sed "s#$repo#REPO#g" "$out/incline_stderr.raw" > "$out/incline_stderr.txt"
-rm "$out/incline_stderr.raw"
+with_stderr "$out/incline_stderr.txt" python3 demos/block_on_incline_demo.py \
+    > "$out/incline_stdout.txt"
