@@ -33,6 +33,10 @@ class ReductionConfig:
     policy: RefreshPolicy = RefreshPolicy.ONCE
     every_n: int = 1
 
+    def __post_init__(self):
+        if self.s < 0 or self.every_n < 1:
+            raise ValueError("reduction needs s >= 0 and every_n >= 1")
+
 
 class Advancer:
     """Advances one simulation with a fixed method and step size."""

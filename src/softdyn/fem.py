@@ -57,19 +57,19 @@ class RayleighParams:
             raise ValueError("Rayleigh coefficients must be >= 0")
 
 
-def build_mass_matrix(mesh: TetMesh, density) -> sp.csr_matrix:
-    """Row-sum lumped diagonal mass matrix of size 3*nv."""
+def lumped_masses(mesh: TetMesh, density):
+    """Per-dof row-sum lumped masses as a flat (3*nv,) array."""
     if density <= 0:
         raise ValueError("density must be > 0")
     vols = mesh.rest_volumes()
     m = np.zeros(mesh.num_vertices)
     np.add.at(m, mesh.tets, (density * vols / 4.0)[:, None])
-    return sp.diags(np.repeat(m, 3)).tocsr()
+    return np.repeat(m, 3)
 
 
-def lumped_masses(mesh: TetMesh, density):
-    """Per-dof lumped masses as a flat (3*nv,) array."""
-    return build_mass_matrix(mesh, density).diagonal()
+def build_mass_matrix(mesh: TetMesh, density) -> sp.csr_matrix:
+    """Row-sum lumped diagonal mass matrix of size 3*nv."""
+    return sp.diags(lumped_masses(mesh, density)).tocsr()
 
 
 class _ElementData:

@@ -14,9 +14,9 @@ import scipy.sparse.linalg as spla
 
 from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
-                       _implicit_matrix, _solve_stage, _splu, _tr_stage)
+                       _implicit_matrix, _solve_stage, _tr_stage)
 from .steppers import newton_solve  # noqa: F401  (re-exported)
-from .system import free_block
+from .system import _splu, free_block
 
 DENSE_EIG_CUTOFF = 300
 # Shift of the sparse eigensolve, just below zero: K - EIG_SHIFT*M stays
@@ -58,7 +58,7 @@ def smallest_eigpairs(k, m, s):
     Up to DENSE_EIG_CUTOFF unknowns the pencil is solved densely. Above it,
     ARPACK runs in shift-invert mode about EIG_SHIFT, and its inverse of
     K - EIG_SHIFT*M is one symmetric-mode SuperLU factor made by
-    ``steppers._splu``, the call that factors the implicit stages.
+    ``system._splu``, the call that factors the implicit stages.
     """
     n = k.shape[0]
     if s > n:
@@ -171,10 +171,10 @@ def _jg_apply(model, ms: ModalSplit, w):
 
 
 class SmwSolver:
-    """Solves (A + Y Z^T) x = rhs with one sparse factorization of A.
+    """Solves (A + Y Z^T) x = rhs with one factorization of A.
 
-    A is a ForceModel's n-space ShiftedSystem or a sparse or dense 2n
-    matrix, Y and Z are skinny (2n rows). Counts solves for cost diagnostics.
+    A is a sparse or dense 2n matrix or its solve r -> A^-1 r (a ForceModel's
+    ``shifted``), Y and Z are skinny (2n rows). Counts solves for diagnostics.
     """
 
     def __init__(self, a, y=None, z=None):
@@ -245,7 +245,7 @@ def _h_implicit(model, u0, um1, h, ms: ModalSplit, cfg, diag=None):
 
     def jacobian(u):
         solvers.append(_h_solver(model, u, ms, c))
-        return solvers[-1]
+        return solvers[-1].solve
 
     u1 = _solve_stage(residual, jacobian, u0, cfg)
     if diag is not None:
@@ -306,12 +306,8 @@ def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None,
         return u - u_prop - c * (model.eval_F(u)
                                  - _jg_apply(model, ms, u - u_ref))
 
-    try:
-        u1 = _solve_stage(residual, lambda u: _h_solver(model, u, ms, c),
-                          u_half, None)
-    except StepFailure as exc:
-        exc.stage = 2
-        raise
+    u1 = _solve_stage(residual, lambda u: _h_solver(model, u, ms, c).solve,
+                      u_half, None, stage=2)
     if diag is not None:
         diag["smw_solves"] = 2  # one solve per stage
     return (u1, u_half) if return_stage else u1

@@ -44,14 +44,22 @@ class SceneConfig:
             raise SceneError(f"unknown method {self.method!r}") from None
 
 
-def _take(d, allowed, where):
-    extra = set(d) - set(allowed)
+def _take(d, where, other=(), reals=(), ints=()):
+    """Check the fields of section d: no names but other, reals and ints;
+    a JSON number under reals and an integer under ints, not a boolean."""
+    extra = set(d) - {*other, *reals, *ints}
     if extra:
         raise SceneError(f"unknown field(s) {sorted(extra)} in {where}")
+    for key in (k for k in (*reals, *ints) if k in d):
+        kind = int if key in ints else (int, float)
+        if isinstance(d[key], bool) or not isinstance(d[key], kind):
+            what = "an integer" if key in ints else "a number"
+            raise SceneError(f"{where}.{key} must be {what}, not {d[key]!r}")
 
 
 def _parse_surface(d, i):
-    _take(d, {"kind", "point", "normal", "center", "radius"}, f"surfaces[{i}]")
+    _take(d, f"surfaces[{i}]", {"kind", "point", "normal", "center"},
+          ("radius",))
     kind = d.get("kind")
     if kind == "halfspace":
         return ct.HalfSpace(d["point"], d["normal"])
@@ -61,8 +69,9 @@ def _parse_surface(d, i):
 
 
 def parse_scene(data: dict, base_dir=".") -> SceneConfig:
-    _take(data, {"mesh", "material", "rayleigh", "gravity", "contact",
-                 "stepper", "reduction", "duration", "output_cadence"}, "scene")
+    _take(data, "scene", {"mesh", "material", "rayleigh", "gravity", "contact",
+                          "stepper", "reduction"},
+          ("duration", "output_cadence"))
     for req in ("mesh", "material", "stepper", "duration", "output_cadence"):
         if req not in data:
             raise SceneError(f"missing required field {req!r}")
@@ -71,7 +80,8 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
         raise SceneError(f"mesh file not found: {mesh_path}")
 
     md = data["material"]
-    _take(md, {"model", "youngs_modulus", "poisson_ratio", "density"}, "material")
+    _take(md, "material", {"model"},
+          ("youngs_modulus", "poisson_ratio", "density"))
     try:
         mat = MaterialParams(Material(md["model"]), md["youngs_modulus"],
                              md["poisson_ratio"], md["density"])
@@ -79,24 +89,24 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
         raise SceneError(f"bad material: {exc}") from exc
 
     rd = data.get("rayleigh", {})
-    _take(rd, {"alpha", "beta"}, "rayleigh")
+    _take(rd, "rayleigh", reals=("alpha", "beta"))
     ray = RayleighParams(rd.get("alpha", 0.0), rd.get("beta", 0.0))
 
-    grav = tuple(data.get("gravity", (0.0, 0.0, 0.0)))
-    if len(grav) != 3:
+    grav = data.get("gravity", (0.0, 0.0, 0.0))
+    if not isinstance(grav, (list, tuple)) or len(grav) != 3:
         raise SceneError("gravity must have 3 components")
 
     con = None
     if "contact" in data:
         cd = dict(data["contact"])
-        _take(cd, {"surfaces", "delta", "kappa", "mu", "epsilon"}, "contact")
+        _take(cd, "contact", {"surfaces"}, ("delta", "kappa", "mu", "epsilon"))
         surfs = [_parse_surface(s, i) for i, s in enumerate(cd.pop("surfaces", []))]
         con = ct.ContactConfig(tuple(surfs), **cd)
 
     sd = data["stepper"]
-    _take(sd, {"method", "h", "newton"}, "stepper")
+    _take(sd, "stepper", {"method", "newton"}, ("h",))
     nd = sd.get("newton", {})
-    _take(nd, {"max_iters", "abs_tol", "rel_tol"}, "newton")
+    _take(nd, "newton", (), ("abs_tol", "rel_tol"), ("max_iters",))
     newton = NewtonConfig(**nd)
     method = sd["method"]
     h = sd["h"]
@@ -106,12 +116,12 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
     red = None
     if "reduction" in data:
         rdd = dict(data["reduction"])
-        _take(rdd, {"s", "refresh", "every_n"}, "reduction")
+        _take(rdd, "reduction", {"refresh"}, ints=("s", "every_n"))
         red = ReductionConfig(policy=RefreshPolicy(rdd.pop("refresh", "once")),
                               **rdd)
 
-    return SceneConfig(mesh_path, mat, ray, grav, con, method, h, newton, red,
-                       data["duration"], data["output_cadence"])
+    return SceneConfig(mesh_path, mat, ray, tuple(grav), con, method, h,
+                       newton, red, data["duration"], data["output_cadence"])
 
 
 def load_scene(path) -> SceneConfig:

@@ -4,8 +4,9 @@ stages. A semi-implicit method is its implicit twin in one-iteration mode
 (cfg=None).
 
 Steppers act on any system exposing ``eval_F(u)`` and ``eval_J(u)`` (J may
-be dense or sparse); ForceModel's ``shifted(u, c)`` solves I - cJ in n-space
-instead. The step size is kept constant by the caller.
+be dense or sparse). A system with ``shifted(u, c)``, as ForceModel, is
+asked for the factored solve of I - cJ instead. A failed stage solve raises
+StepFailure with its stage. The step size is kept constant by the caller.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-from .system import ShiftedSystem
 
 SDIRK_GAMMA = 2.0 - np.sqrt(2.0)
 SDIRK_BETA = np.sqrt(2.0) / 4.0
@@ -98,34 +97,19 @@ class StepFailure(RuntimeError):
         self.step = self.t = None  # run_simulation sets step index, start time
 
 
-def _splu(a):
-    """SuperLU factor of a symmetric CSC matrix: MMD ordering on the pattern
-    of A + A^T and diagonal pivots first (symmetric mode). It serves the
-    n-space stages, the SMW solver and the eigen refresh."""
-    return spla.splu(a, permc_spec="MMD_AT_PLUS_A",
-                     options={"SymmetricMode": True})
-
-
 def _factorize(jmat):
-    """Return a solve(rhs) callable for a ShiftedSystem or a dense/sparse
-    matrix, or pass through objects that already provide .solve."""
-    if isinstance(jmat, ShiftedSystem):
-        lu = _splu(jmat.a_ff)
-        return lambda r: jmat.solve(lu.solve, r)
-    if hasattr(jmat, "solve") and not sp.issparse(jmat):
-        return jmat.solve
+    """A solve(rhs) callable for jmat: a callable is already one, a sparse
+    matrix is factored by SuperLU and a dense one by LU."""
+    if callable(jmat):
+        return jmat
     if sp.issparse(jmat):
         return spla.splu(jmat.tocsc()).solve
-    jmat = np.asarray(jmat)
-    if jmat.shape == (1, 1):
-        val = float(jmat[0, 0])
-        return lambda r: r / val
     lu = scipy.linalg.lu_factor(jmat)
     return lambda r: scipy.linalg.lu_solve(lu, r)
 
 
 def _implicit_matrix(model, u, c):
-    """I - c J(u): ``model.shifted`` if present, else CSC or dense like J."""
+    """I - c J(u): factored by ``model.shifted`` if any, else CSC or dense."""
     if hasattr(model, "shifted"):
         return model.shifted(u, c)
     j = model.eval_J(u)
@@ -163,13 +147,13 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
     """Simplified Newton with step halving on the merit ||g||^2 (Hairer and
     Wanner, Solving ODEs II, Sec. IV.8).
 
-    ``jacobian_fn(u)`` returns the residual Jacobian (dense, sparse, or an
-    object with .solve). It is factored at the first iterate, and that
-    factor is kept while every step contracts the residual,
-    ||g_new|| <= CONTRACTION_THETA ||g||, at full length. A step that fails
-    the test or that the line search cut refactors at the next iterate. A
-    line search exhausted on a kept factor refactors at the current
-    iterate and retries. Convergence is judged on the true residual.
+    ``jacobian_fn(u)`` returns the residual Jacobian, dense or sparse, or
+    its factored solve r -> J^-1 r as a callable. It is factored at the
+    first iterate, and that factor is kept while every step contracts the
+    residual, ||g_new|| <= CONTRACTION_THETA ||g||, at full length. A step
+    that fails the test or that the line search cut refactors at the next
+    iterate. A line search exhausted on a kept factor refactors at the
+    current iterate and retries. Convergence is judged on the true residual.
     Raises StepFailure on non-convergence, on a failed linear solve, or on
     a line search exhausted from a fresh factor.
     """
@@ -197,11 +181,17 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
             solve = None
 
 
-def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None):
+def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None,
+                 stage=None):
     """Solve residual_fn(u) = 0 from guess: Newton under cfg, or with cfg
-    None one undamped Newton iteration (one factorization and solve)."""
+    None one undamped Newton iteration (one factorization and solve). A
+    StepFailure raised here or by Newton carries the label stage."""
     if cfg is not None:
-        return newton_solve(residual_fn, jacobian_fn, guess, cfg)
+        try:
+            return newton_solve(residual_fn, jacobian_fn, guess, cfg)
+        except StepFailure as exc:
+            exc.stage = stage
+            raise
     g = residual_fn(guess)
     try:
         u1 = guess - _factorize(jacobian_fn(guess))(g)
@@ -209,24 +199,15 @@ def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None):
             raise np.linalg.LinAlgError("non-finite state")
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise StepFailure(f"semi-implicit solve failed: {exc}", guess,
-                          np.linalg.norm(g)) from exc
+                          np.linalg.norm(g), stage) from exc
     return u1
 
 
 def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
     """Solve u = base + coeff_h * F(u) from guess by _solve_stage."""
-
-    def residual(u):
-        return u - base - coeff_h * model.eval_F(u)
-
-    def jacobian(u):
-        return _implicit_matrix(model, u, coeff_h)
-
-    try:
-        return _solve_stage(residual, jacobian, guess, cfg)
-    except StepFailure as exc:
-        exc.stage = stage
-        raise
+    return _solve_stage(lambda u: u - base - coeff_h * model.eval_F(u),
+                        lambda u: _implicit_matrix(model, u, coeff_h),
+                        guess, cfg, stage)
 
 
 def _divergence_guard(model, u0, step):

@@ -1,18 +1,18 @@
 """First-order assembly u' = F(u) = J u + (0; c) for the FEM model.
 
 ForceModel stacks elastic, Rayleigh, contact, friction and gravity forces
-and exposes F, its block Jacobian and I - cJ in n-space.
+and exposes F, its block Jacobian and the solve of I - cJ in n-space.
 Fixed-vertex rows are masked to zero; mass is applied explicitly (diagonal
 lumped M).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import contact as ct
 from . import fem
@@ -50,7 +50,12 @@ def free_block(mat, free):
     return sp.csr_matrix(mat)[free][:, free]
 
 
-ShiftedSystem = namedtuple("ShiftedSystem", "a_ff solve")
+def _splu(a):
+    """SuperLU factor of a symmetric CSC matrix: MMD ordering on the pattern
+    of A + A^T and diagonal pivots first (symmetric mode). It serves the
+    n-space stages and the eigen refresh."""
+    return spla.splu(a, permc_spec="MMD_AT_PLUS_A",
+                     options={"SymmetricMode": True})
 
 
 class ForceModel:
@@ -67,6 +72,9 @@ class ForceModel:
         self.ndof = mesh.num_dofs
         self.mass = fem.lumped_masses(mesh, mat.density)
         self.minv = 1.0 / self.mass
+        self.gravity_force = self.mass * np.tile(self.gravity,
+                                                 mesh.num_vertices)
+        self.gravity_force.flags.writeable = False
         self.free = mesh.free_dof_mask()
         self.q_rest = mesh.rest_positions.reshape(-1)
         self._k_linear = None
@@ -102,13 +110,9 @@ class ForceModel:
             return self._k_linear
         return self._cached("stiffness", fem.stiffness_matrix, self.mat, q)
 
-    def gravity_force(self):
-        return self.mass * np.tile(self.gravity, self.mesh.num_vertices)
-
     def gravity_energy(self, q):
         """Gravitational potential, referenced to the rest configuration."""
-        g = np.tile(self.gravity, self.mesh.num_vertices)
-        return -float(np.dot(self.mass * g, q - self.q_rest)) / 1.0
+        return -float(np.dot(self.gravity_force, q - self.q_rest))
 
     def _contact_set(self, q):
         if self.contact is None:
@@ -123,7 +127,7 @@ class ForceModel:
 
     def total_force(self, q, v):
         """f_tot = f_els + f_dmp + f_con + f_ext (unmasked)."""
-        f = self.elastic_force(q) + self.gravity_force()
+        f = self.elastic_force(q) + self.gravity_force
         if self.rayleigh.beta:
             f -= self.rayleigh.beta * self.mass * v
         if self.rayleigh.alpha:
@@ -165,23 +169,24 @@ class ForceModel:
         return sp.bmat([[None, mask], [-(pm @ k @ mask), -(pm @ d @ mask)]],
                        format="csr")
 
-    def shifted(self, u, c) -> ShiftedSystem:
-        """I - c J(u) in n-space (Baraff & Witkin, "Large Steps in Cloth
-        Simulation", 1998): a_ff = (M + c D_eff + c^2 K_eff)_ff, to factor,
-        and solve(solve_ff, r) for r = (a; b) of shape (2n,) or (2n, k):
+    def shifted(self, u, c):
+        """r -> (I - c J(u))^-1 r in n-space (Baraff & Witkin, "Large Steps
+        in Cloth Simulation", 1998): factors (M + c D_eff + c^2 K_eff)_ff =
+        a_ff once, and solves r = (a; b) of shape (2n,) or (2n, k) by
         y_fixed = b_fixed, a_ff y_f = M_f b_f - c K_ff a_f, x = (a + cPy; y)."""
         n, free, p = self.ndof, self.free, self.free[:, None]
         k, d = self._tangents(u)
-        a_ff = free_block(sp.diags(self.mass) + c * d + (c * c) * k, free)
+        lu = _splu(free_block(sp.diags(self.mass) + c * d + (c * c) * k,
+                              free).tocsc())
 
-        def solve(solve_ff, r):
+        def solve(r):
             a, b = np.split(np.reshape(r, (2 * n, -1)), 2)
             y = b.copy()
-            y[free] = solve_ff(self.mass[free, None] * b[free]
+            y[free] = lu.solve(self.mass[free, None] * b[free]
                                - c * (k @ (p * a))[free])
             return np.concatenate([a + c * (p * y), y]).reshape(np.shape(r))
 
-        return ShiftedSystem(a_ff.tocsc(), solve)
+        return solve
 
 
 def state_energy(model: ForceModel, state: SimState):

@@ -455,6 +455,25 @@ def test_sparse_eigpairs_match_dense_at_deformed_state():
     assert res.max() < 1e-10 * np.linalg.norm(kf, 2)
 
 
+def test_sparse_strsbdf2ere_runs_are_bit_identical():
+    """Two STR-SBDF2ERE runs on the 16x4x4 beam, refreshing the split by
+    the sparse eigensolver at every step, agree bit for bit."""
+    runs = []
+    for _ in range(2):
+        mesh = sd.beam_mesh(16, 4, 4, 1.0, 0.25, 0.25)
+        mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4,
+                                1000.0)
+        model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8))
+        assert model.free.sum() > reduction.DENSE_EIG_CUTOFF
+        red = sd.ReductionConfig(s=10, policy=RefreshPolicy.EVERY_STEP)
+        frames, diags = sd.run_simulation(model, "STRSBDF2ERE", 0.01, 0.04,
+                                          red=red)
+        assert len(frames) == 5 and diags[-1]["refreshes"] == 3
+        runs.append((np.array([f.u for f in frames]), diags))
+    np.testing.assert_array_equal(runs[1][0], runs[0][0])
+    assert runs[1][1] == runs[0][1]
+
+
 def test_refresh_keeps_split_when_factor_is_singular():
     """A K - sigma M that SuperLU finds exactly singular makes modal_split
     raise RuntimeError; refresh_split then warns and keeps the split."""

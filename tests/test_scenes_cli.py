@@ -127,6 +127,34 @@ def test_cli_config_error_exit(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("stepper", "h", "0.01"),
+    (None, "duration", "0.05"),
+    (None, "output_cadence", None),
+    (None, "gravity", -9.8),
+    ("material", "youngs_modulus", "1e5"),
+    ("material", "density", True),
+    ("reduction", "s", 2.5),
+    ("reduction", "s", "3"),
+    ("reduction", "s", True),
+    ("reduction", "s", -1),
+    ("reduction", "every_n", 0),
+])
+def test_cli_bad_scene_number_exit(scene_dir, tmp_path, capsys, section,
+                                   field, value):
+    """A scene number of the wrong JSON type or out of range is a config
+    error (exit 2), not a traceback."""
+    d, data = scene_dir
+    data = json.loads(json.dumps(data))
+    data["reduction"] = {"s": 2, "refresh": "every_n", "every_n": 1}
+    (data[section] if section else data)[field] = value
+    (d / "bad.json").write_text(json.dumps(data))
+    rc = cli.main(["simulate", "--scene", str(d / "bad.json"),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exit(tmp_path):
     # absurd stiffness + huge step with a tight Newton budget
     mesh = sd.box_mesh(1, 1, 1, 0.1, 0.1, 0.1, fix="left")

@@ -246,6 +246,33 @@ def test_simplified_newton_linear_is_one_direct_solve(rng):
         u, scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b))
 
 
+def test_newton_takes_a_factored_solve_as_jacobian(rng):
+    # a callable from jacobian_fn is the factored solve itself: Newton
+    # visits the same iterates, bit for bit, as when it factors the matrix
+    a = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
+    b = rng.standard_normal(5)
+
+    def jac(u):
+        return a + np.diag(1.5 * u ** 2)
+
+    def factored(u):
+        lu = scipy.linalg.lu_factor(jac(u))
+        return lambda r: scipy.linalg.lu_solve(lu, r)
+
+    runs = []
+    for jacobian_fn in (jac, factored):
+        visited = []
+
+        def residual(u):
+            visited.append(u.copy())
+            return a @ u + 0.5 * u ** 3 - b
+
+        u = st.newton_solve(residual, jacobian_fn, np.full(5, 2.0), TIGHT)
+        runs.append(np.array(visited + [u]))
+    assert len(runs[0]) > 3
+    np.testing.assert_array_equal(runs[1], runs[0])
+
+
 def test_simplified_newton_factors_per_trbdf2_step(monkeypatch):
     mesh = sd.beam_mesh(8, 2, 2, 1.0, 0.25, 0.25)
     mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)

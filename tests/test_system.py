@@ -264,7 +264,7 @@ def test_shifted_solve_matches_block_system(nx, ny, nz, material, c, k, seed):
     assert model._contact_set(u[:n]).count > 0
     assert not model._contact_set(u[:n]).penetrating.any()
     ref = spla.splu((sp.identity(2 * n) - c * model.eval_J(u)).tocsc())
-    solve = steppers._factorize(steppers._implicit_matrix(model, u, c))
+    solve = model.shifted(u, c)
     for shape in (2 * n, (2 * n, 1), (2 * n, k)):
         r = rng.standard_normal(shape)
         x, x_ref = solve(r), ref.solve(r)
@@ -334,13 +334,15 @@ def _failing_splu(monkeypatch, fail_from=0):
 
 def test_superlu_errors_raise_step_failure(model, rng, monkeypatch):
     """A failed n-space factorization surfaces as StepFailure on the Newton,
-    the one-iteration and the SMW path."""
+    the one-iteration and the SMW path, Newton's and the one iteration's."""
     u0 = rand_state(model, rng)
     u0[:model.ndof] = model.q_rest  # a positive definite K for the split
     ms = reduction.modal_split(model, u0, 4)
     _failing_splu(monkeypatch)
     with pytest.raises(steppers.StepFailure):
         steppers.step_be(model, u0, 0.01)
+    with pytest.raises(steppers.StepFailure, match="linear solve failed"):
+        reduction.beere_step(model, u0, 0.01, ms)
     with pytest.raises(steppers.StepFailure) as ei:
         steppers.step_strbdf2(model, u0, 0.01)
     assert ei.value.stage == 1

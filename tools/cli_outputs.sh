@@ -66,5 +66,27 @@ with open(os.path.join(out, "beam16_scene.json"), "w") as f:
 PY
 softdyn eigs --scene "$out/beam16/beam16_scene.json" --s 10 \
     --out "$out/eigs_beam16"
+# The beam scene under the Newton stages of TR-BDF2, the labelled SMW stage
+# 2 of STR-SBDF2ERE and the modal Newton SMW stage of BDF2ERE.
+mkdir -p "$out/beam_methods"
+python3 - "$out/beam_methods" <<'PY'
+import json
+import os
+import shutil
+import sys
+
+out = sys.argv[1]
+shutil.copy("demos/assets/beam.mesh", out)
+with open("demos/assets/beam_scene.json") as f:
+    scene = json.load(f)
+for method in ("TRBDF2", "STRSBDF2ERE", "BDF2ERE"):
+    scene["stepper"]["method"] = method
+    with open(os.path.join(out, f"{method}_scene.json"), "w") as f:
+        json.dump(scene, f, indent=2)
+PY
+for method in TRBDF2 STRSBDF2ERE BDF2ERE; do
+    softdyn simulate --scene "$out/beam_methods/${method}_scene.json" \
+        --out "$out/beam_$method"
+done
 with_stderr "$out/incline_stderr.txt" python3 demos/block_on_incline_demo.py \
     > "$out/incline_stdout.txt"
