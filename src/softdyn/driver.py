@@ -39,7 +39,9 @@ class ReductionConfig:
 
 
 class Advancer:
-    """Advances one simulation with a fixed method and step size."""
+    """Advances one simulation with a fixed method and step size. It owns
+    the run's store of stage factors, {c: solve} per stage coefficient c,
+    which the Newton difference rows start each stage from."""
 
     def __init__(self, model, method: str, h: float,
                  newton: NewtonConfig = NewtonConfig(),
@@ -51,6 +53,7 @@ class Advancer:
         self.split: ModalSplit | None = None
         self.red = (red or ReductionConfig()) if self.entry.modal else None
         self.last_diag: dict = {}
+        self.factors: dict = {}
 
     def step(self, state: SimState) -> SimState:
         h, model = self.h, self.model
@@ -77,7 +80,7 @@ class Advancer:
                 diag["lam_max"] = float(ms.lam.max()) if ms.s else 0.0
                 diag["refreshes"] = ms.refresh_count
             u1 = self.entry.step(model, u0, um1, h, self.newton, self.split,
-                                 diag)
+                                 diag, self.factors)
 
         if self.model.contact is not None:
             n = model.ndof

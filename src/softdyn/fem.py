@@ -80,7 +80,7 @@ class _ElementData:
         self.vol = np.linalg.det(dm) / 6.0
         self.dminv = np.linalg.inv(dm)
         # N (nt, 4, 3): dF[:, j] = sum_a N[a, j] * du_a, column-major vec.
-        n = np.empty((mesh.num_tets, 4, 3))
+        self.n = n = np.empty((mesh.num_tets, 4, 3))
         n[:, 1:, :] = self.dminv
         n[:, 0, :] = -self.dminv.sum(axis=1)
         # G (nt, 9, 12) maps the 12 vertex dofs to vec_F (column-major).
@@ -126,9 +126,12 @@ def _cof(f):
 
 
 def _snh_pk1(f, mu, lam):
+    """First Piola-Kirchhoff stress of the stable neo-Hookean energy; J is
+    the first column of F dotted with that of its cofactor."""
     alpha = 1.0 + mu / lam
-    j = np.linalg.det(f)
-    return mu * f + lam * (j - alpha)[:, None, None] * _cof(f), j
+    cof = _cof(f)
+    j = np.einsum("ei,ei->e", f[:, :, 0], cof[:, :, 0])
+    return mu * f + lam * (j - alpha)[:, None, None] * cof
 
 
 def elastic_energy(mesh: TetMesh, mat: MaterialParams, q) -> float:
@@ -167,12 +170,10 @@ def elastic_force(mesh: TetMesh, mat: MaterialParams, q):
         tr = np.trace(eps, axis1=1, axis2=2)
         pk1 = 2.0 * mu * eps + lam * tr[:, None, None] * np.eye(3)
     else:
-        pk1, _ = _snh_pk1(f, mu, lam)
-    vec_p = pk1.transpose(0, 2, 1).reshape(-1, 9)  # column-major vec
-    fe = -np.einsum("e,eji,ej->ei", ed.vol, ed.g, vec_p)
-    out = np.zeros(mesh.num_dofs)
-    np.add.at(out, ed.dofs.ravel(), fe.ravel())
-    return out
+        pk1 = _snh_pk1(f, mu, lam)
+    # the element's vertex forces are -vol N P^T, one row per vertex
+    fe = -ed.vol[:, None, None] * (ed.n @ pk1.transpose(0, 2, 1))
+    return np.bincount(ed.dofs.ravel(), fe.ravel(), minlength=mesh.num_dofs)
 
 
 # vec here is column-major: vec(F) = F.T.reshape(9).

@@ -55,7 +55,8 @@ def smallest_eigpairs(k, m, s):
     M must be SPD, K symmetric (possibly indefinite). Eigenvectors are
     M-orthonormal with a deterministic sign (largest-magnitude entry > 0).
 
-    Up to DENSE_EIG_CUTOFF unknowns the pencil is solved densely. Above it,
+    Up to DENSE_EIG_CUTOFF unknowns the pencil is solved densely, for the
+    s pairs only. Above it,
     ARPACK runs in shift-invert mode about EIG_SHIFT, and its inverse of
     K - EIG_SHIFT*M is one symmetric-mode SuperLU factor made by
     ``system._splu``, the call that factors the implicit stages.
@@ -67,8 +68,8 @@ def smallest_eigpairs(k, m, s):
         return np.zeros((n, 0)), np.zeros(0)
     if n <= DENSE_EIG_CUTOFF:
         lam, vec = scipy.linalg.eigh(sp.csr_matrix(k).toarray(),
-                                     sp.csr_matrix(m).toarray())
-        lam, vec = lam[:s], vec[:, :s]
+                                     sp.csr_matrix(m).toarray(),
+                                     subset_by_index=[0, s - 1])
     else:
         # a fixed random start vector makes the result reproducible; a
         # constant one is orthogonal to the antisymmetric modes of a

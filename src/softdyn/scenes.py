@@ -38,54 +38,76 @@ class SceneConfig:
             raise SceneError("duration must be > 0")
         if self.cadence <= 0:
             raise SceneError("cadence must be > 0")
+        if not isinstance(self.method, str):
+            raise SceneError(f"method must be a string, not {self.method!r}")
         try:
             Method(self.method.upper())
         except ValueError:
             raise SceneError(f"unknown method {self.method!r}") from None
 
 
-def _take(d, where, other=(), reals=(), ints=()):
-    """Check the fields of section d: no names but other, reals and ints;
-    a JSON number under reals and an integer under ints, not a boolean."""
-    extra = set(d) - {*other, *reals, *ints}
+def _is_number(x, kind=(int, float)):
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _require(d, where, keys):
+    for key in keys:
+        if key not in d:
+            raise SceneError(f"missing required field {key!r} in {where}")
+
+
+def _take(d, where, other=(), reals=(), ints=(), vectors=(), required=()):
+    """Check the fields of section d: no names but other, reals, ints and
+    vectors, and every name in required present; a JSON number under
+    reals, an integer under ints and a list of 3 numbers under vectors,
+    where no number is a boolean."""
+    extra = set(d) - {*other, *reals, *ints, *vectors}
     if extra:
         raise SceneError(f"unknown field(s) {sorted(extra)} in {where}")
+    _require(d, where, required)
     for key in (k for k in (*reals, *ints) if k in d):
-        kind = int if key in ints else (int, float)
-        if isinstance(d[key], bool) or not isinstance(d[key], kind):
+        if not _is_number(d[key], int if key in ints else (int, float)):
             what = "an integer" if key in ints else "a number"
             raise SceneError(f"{where}.{key} must be {what}, not {d[key]!r}")
+    for key in (k for k in vectors if k in d):
+        v = d[key]
+        if (not isinstance(v, (list, tuple)) or len(v) != 3
+                or not all(map(_is_number, v))):
+            raise SceneError(f"{where}.{key} must be 3 numbers, not {v!r}")
 
 
 def _parse_surface(d, i):
-    _take(d, f"surfaces[{i}]", {"kind", "point", "normal", "center"},
-          ("radius",))
-    kind = d.get("kind")
+    where = f"surfaces[{i}]"
+    _take(d, where, {"kind"}, ("radius",),
+          vectors=("point", "normal", "center"), required=("kind",))
+    kind = d["kind"]
     if kind == "halfspace":
+        _require(d, where, ("point", "normal"))
         return ct.HalfSpace(d["point"], d["normal"])
     if kind == "sphere":
+        _require(d, where, ("center", "radius"))
         return ct.Sphere(d["center"], d["radius"])
     raise SceneError(f"unknown surface kind {kind!r}")
 
 
 def parse_scene(data: dict, base_dir=".") -> SceneConfig:
-    _take(data, "scene", {"mesh", "material", "rayleigh", "gravity", "contact",
+    _take(data, "scene", {"mesh", "material", "rayleigh", "contact",
                           "stepper", "reduction"},
-          ("duration", "output_cadence"))
-    for req in ("mesh", "material", "stepper", "duration", "output_cadence"):
-        if req not in data:
-            raise SceneError(f"missing required field {req!r}")
+          ("duration", "output_cadence"), vectors=("gravity",),
+          required=("mesh", "material", "stepper", "duration",
+                    "output_cadence"))
     mesh_path = os.path.join(base_dir, data["mesh"])
     if not os.path.exists(mesh_path):
         raise SceneError(f"mesh file not found: {mesh_path}")
 
     md = data["material"]
     _take(md, "material", {"model"},
-          ("youngs_modulus", "poisson_ratio", "density"))
+          ("youngs_modulus", "poisson_ratio", "density"),
+          required=("model", "youngs_modulus", "poisson_ratio", "density"))
     try:
         mat = MaterialParams(Material(md["model"]), md["youngs_modulus"],
                              md["poisson_ratio"], md["density"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise SceneError(f"bad material: {exc}") from exc
 
     rd = data.get("rayleigh", {})
@@ -93,8 +115,6 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
     ray = RayleighParams(rd.get("alpha", 0.0), rd.get("beta", 0.0))
 
     grav = data.get("gravity", (0.0, 0.0, 0.0))
-    if not isinstance(grav, (list, tuple)) or len(grav) != 3:
-        raise SceneError("gravity must have 3 components")
 
     con = None
     if "contact" in data:
@@ -104,7 +124,8 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
         con = ct.ContactConfig(tuple(surfs), **cd)
 
     sd = data["stepper"]
-    _take(sd, "stepper", {"method", "newton"}, ("h",))
+    _take(sd, "stepper", {"method", "newton"}, ("h",),
+          required=("method", "h"))
     nd = sd.get("newton", {})
     _take(nd, "newton", (), ("abs_tol", "rel_tol"), ("max_iters",))
     newton = NewtonConfig(**nd)

@@ -6,7 +6,9 @@ stages. A semi-implicit method is its implicit twin in one-iteration mode
 Steppers act on any system exposing ``eval_F(u)`` and ``eval_J(u)`` (J may
 be dense or sparse). A system with ``shifted(u, c)``, as ForceModel, is
 asked for the factored solve of I - cJ instead. A failed stage solve raises
-StepFailure with its stage. The step size is kept constant by the caller.
+StepFailure with its stage. The step size is kept constant by the caller,
+and the Newton step functions take its store of factors, {c: solve} per
+stage coefficient c, to start each stage from the last factor under c.
 """
 
 from __future__ import annotations
@@ -57,19 +59,22 @@ class MethodEntry:
     ``fn`` takes ``(model, u0, [um1,] h, [split,] [newton,] [diag])``: the
     previous state ``um1`` when ``history`` is 2, the ModalSplit ``split``
     and the counts dict ``diag`` when ``modal``, and the NewtonConfig
-    ``newton`` when ``newton``."""
+    ``newton`` when ``newton``; a Newton row that is not modal also takes
+    the factor store ``factors`` as a keyword."""
 
     fn: Callable
     history: int = 1
     modal: bool = False
     newton: bool = False
 
-    def step(self, model, u0, um1, h, newton, split, diag):
+    def step(self, model, u0, um1, h, newton, split, diag, factors=None):
         """Advance one step by fn, passing the arguments of this row."""
         args = [model, u0, um1, h] if self.history == 2 else [model, u0, h]
         args += [split] if self.modal else []
         args += [newton] if self.newton else []
         args += [diag] if self.modal else []
+        if self.newton and not self.modal:
+            return self.fn(*args, factors=factors)
         return self.fn(*args)
 
 
@@ -143,13 +148,15 @@ def _line_search(residual_fn, u, g, du):
     return None
 
 
-def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
+def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig,
+                 solve=None):
     """Simplified Newton with step halving on the merit ||g||^2 (Hairer and
     Wanner, Solving ODEs II, Sec. IV.8).
 
     ``jacobian_fn(u)`` returns the residual Jacobian, dense or sparse, or
     its factored solve r -> J^-1 r as a callable. It is factored at the
-    first iterate, and that factor is kept while every step contracts the
+    first iterate, unless ``solve``, a factored solve made earlier, is
+    given to start from. A factor is kept while every step contracts the
     residual, ||g_new|| <= CONTRACTION_THETA ||g||, at full length. A step
     that fails the test or that the line search cut refactors at the next
     iterate. A line search exhausted on a kept factor refactors at the
@@ -160,7 +167,6 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
     u = np.array(guess, dtype=float)
     g = residual_fn(u)
     g0_norm = np.linalg.norm(g)
-    solve = None
     for it in range(cfg.max_iters + 1):
         gnorm = np.linalg.norm(g)
         if gnorm <= cfg.abs_tol or gnorm <= cfg.rel_tol * g0_norm:
@@ -182,13 +188,14 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig):
 
 
 def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None,
-                 stage=None):
-    """Solve residual_fn(u) = 0 from guess: Newton under cfg, or with cfg
-    None one undamped Newton iteration (one factorization and solve). A
-    StepFailure raised here or by Newton carries the label stage."""
+                 stage=None, solve=None):
+    """Solve residual_fn(u) = 0 from guess: Newton under cfg, starting from
+    the factored solve ``solve`` if given, or with cfg None one undamped
+    Newton iteration (one factorization and solve). A StepFailure raised
+    here or by Newton carries the label stage."""
     if cfg is not None:
         try:
-            return newton_solve(residual_fn, jacobian_fn, guess, cfg)
+            return newton_solve(residual_fn, jacobian_fn, guess, cfg, solve)
         except StepFailure as exc:
             exc.stage = stage
             raise
@@ -203,11 +210,20 @@ def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None,
     return u1
 
 
-def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None):
-    """Solve u = base + coeff_h * F(u) from guess by _solve_stage."""
+def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None,
+                    factors=None):
+    """Solve u = base + coeff_h * F(u) from guess by _solve_stage. With a
+    store ``factors`` ({coeff_h: solve}), Newton starts from the factor
+    kept under coeff_h, and each factor it makes is kept there."""
+    def factor(u):
+        solve = _factorize(_implicit_matrix(model, u, coeff_h))
+        if factors is not None:
+            factors[coeff_h] = solve
+        return solve
+
     return _solve_stage(lambda u: u - base - coeff_h * model.eval_F(u),
-                        lambda u: _implicit_matrix(model, u, coeff_h),
-                        guess, cfg, stage)
+                        factor, guess, cfg, stage,
+                        None if factors is None else factors.get(coeff_h))
 
 
 def _divergence_guard(model, u0, step):
@@ -224,9 +240,10 @@ def _divergence_guard(model, u0, step):
     return u1
 
 
-def step_be(model, u0, h, cfg: NewtonConfig | None = NewtonConfig()):
+def step_be(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
+            factors=None):
     """Backward Euler: u1 = u0 + h F(u1); cfg=None gives SI."""
-    return _implicit_stage(model, u0, h, u0, cfg)
+    return _implicit_stage(model, u0, h, u0, cfg, factors=factors)
 
 
 def step_si(model, u0, h):
@@ -234,27 +251,30 @@ def step_si(model, u0, h):
     return _divergence_guard(model, u0, lambda: step_be(model, u0, h, None))
 
 
-def _tr_stage(model, u0, c, cfg, stage=None):
+def _tr_stage(model, u0, c, cfg, stage=None, factors=None):
     """Trapezoidal stage of width 2c: u = u0 + c (F(u0) + F(u))."""
-    return _implicit_stage(model, u0 + c * model.eval_F(u0), c, u0, cfg, stage)
+    return _implicit_stage(model, u0 + c * model.eval_F(u0), c, u0, cfg, stage,
+                           factors)
 
 
-def _two_stage(model, u0, c1, w, c2, cfg, return_stage):
+def _two_stage(model, u0, c1, w, c2, cfg, return_stage, factors):
     """TR stage U of width 2 c1, then u1 = u0 + w (U - u0) + c2 F(u1)."""
-    u_s = _tr_stage(model, u0, c1, cfg, stage=1)
-    u1 = _implicit_stage(model, u0 + w * (u_s - u0), c2, u_s, cfg, stage=2)
+    u_s = _tr_stage(model, u0, c1, cfg, 1, factors)
+    u1 = _implicit_stage(model, u0 + w * (u_s - u0), c2, u_s, cfg, 2, factors)
     return (u1, u_s) if return_stage else u1
 
 
-def step_tr(model, u0, h, cfg: NewtonConfig = NewtonConfig()):
+def step_tr(model, u0, h, cfg: NewtonConfig = NewtonConfig(), factors=None):
     """Trapezoidal rule: u1 = u0 + h/2 (F(u1) + F(u0))."""
-    return _tr_stage(model, u0, 0.5 * h, cfg)
+    return _tr_stage(model, u0, 0.5 * h, cfg, factors=factors)
 
 
-def step_bdf2(model, u0, um1, h, cfg: NewtonConfig | None = NewtonConfig()):
+def step_bdf2(model, u0, um1, h, cfg: NewtonConfig | None = NewtonConfig(),
+              factors=None):
     """BDF2: u1 = u0 + (1/3)(u0 - um1 + 2 h F(u1)); cfg=None gives SBDF2."""
     base = u0 + (u0 - um1) / 3.0
-    return _implicit_stage(model, base, 2.0 * h / 3.0, u0, cfg)
+    return _implicit_stage(model, base, 2.0 * h / 3.0, u0, cfg,
+                           factors=factors)
 
 
 def step_sbdf2(model, u0, um1, h):
@@ -264,10 +284,10 @@ def step_sbdf2(model, u0, um1, h):
 
 
 def step_trbdf2(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
-                return_stage=False):
+                return_stage=False, factors=None):
     """TR-BDF2: TR to the midpoint, then BDF2; cfg=None gives STR-BDF2."""
     return _two_stage(model, u0, 0.25 * h, 4.0 / 3.0, h / 3.0, cfg,
-                      return_stage)
+                      return_stage, factors)
 
 
 def step_strbdf2(model, u0, h):
@@ -277,11 +297,13 @@ def step_strbdf2(model, u0, h):
 
 
 def step_sdirk(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
-               return_stage=False):
-    """Two-stage SDIRK, gamma = 2 - sqrt(2); cfg=None gives SSDIRK."""
+               return_stage=False, factors=None):
+    """Two-stage SDIRK, gamma = 2 - sqrt(2); cfg=None gives SSDIRK. Both
+    stages have the coefficient gamma h / 2, so with a store stage 2
+    starts from stage 1's factor."""
     g, b = SDIRK_GAMMA, SDIRK_BETA
     return _two_stage(model, u0, 0.5 * g * h, 2.0 * b / g, 0.5 * g * h, cfg,
-                      return_stage)
+                      return_stage, factors)
 
 
 def step_ssdirk(model, u0, h):

@@ -127,6 +127,14 @@ def test_cli_config_error_exit(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+MISSING = object()  # the field is deleted from its section
+# The test scene's contact surfaces, by the section name that picks one.
+SURFACES = {"halfspace": {"kind": "halfspace", "point": [0.0, 0.0, -1.0],
+                          "normal": [0.0, 0.0, 1.0]},
+            "sphere": {"kind": "sphere", "center": [0.0, 0.0, -2.0],
+                       "radius": 0.5}}
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("stepper", "h", "0.01"),
     (None, "duration", "0.05"),
@@ -139,20 +147,40 @@ def test_cli_config_error_exit(tmp_path):
     ("reduction", "s", True),
     ("reduction", "s", -1),
     ("reduction", "every_n", 0),
+    ("stepper", "h", MISSING),
+    ("stepper", "method", MISSING),
+    ("stepper", "method", 5),
+    ("material", "density", MISSING),
+    ("halfspace", "point", MISSING),
+    ("sphere", "radius", MISSING),
+    (None, "gravity", ["0", "0", "-9.8"]),
+    (None, "gravity", [0.0, 0.0, True]),
+    ("halfspace", "normal", [0.0, 0.0, "1"]),
+    ("halfspace", "point", [0.0, 0.0]),
+    ("sphere", "center", [0.0, None, 0.0]),
 ])
 def test_cli_bad_scene_number_exit(scene_dir, tmp_path, capsys, section,
                                    field, value):
-    """A scene number of the wrong JSON type or out of range is a config
-    error (exit 2), not a traceback."""
+    """A scene number of the wrong JSON type or out of range, a missing
+    required field or a method that is not a string is a config error
+    (exit 2) that names the field, not a traceback."""
     d, data = scene_dir
     data = json.loads(json.dumps(data))
     data["reduction"] = {"s": 2, "refresh": "every_n", "every_n": 1}
-    (data[section] if section else data)[field] = value
+    data["contact"] = {"surfaces": [dict(s) for s in SURFACES.values()]}
+    scenes.parse_scene(data, base_dir=str(d))  # valid before the change
+    target = (data["contact"]["surfaces"][list(SURFACES).index(section)]
+              if section in SURFACES else data[section] if section else data)
+    if value is MISSING:
+        del target[field]
+    else:
+        target[field] = value
     (d / "bad.json").write_text(json.dumps(data))
     rc = cli.main(["simulate", "--scene", str(d / "bad.json"),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
 
 
 def test_cli_numerical_failure_exit(tmp_path):

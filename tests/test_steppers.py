@@ -290,6 +290,27 @@ def test_simplified_newton_factors_per_trbdf2_step(monkeypatch):
     assert len(calls) / 20 <= 3.0  # a fresh factor per iteration gives 5.8
 
 
+def test_kept_factors_per_advancer_trbdf2_step(monkeypatch):
+    # the Advancer's store starts each stage from the last step's factor
+    # under its coefficient: 0.85 factors per step here, 2.4 without it
+    mesh = sd.beam_mesh(8, 2, 2, 1.0, 0.25, 0.25)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8), None)
+    splu, calls = spla.splu, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    adv = sd.Advancer(model, "TRBDF2", 1.0 / 60.0)
+    state = sd.SimState(model.q_rest.copy(), np.zeros(model.ndof))
+    for _ in range(20):
+        state = adv.step(state)
+    assert len(calls) / 20 <= 1.25
+    assert sorted(adv.factors) == [0.25 / 60.0, 1.0 / 180.0]
+
+
 def _logged(g, dg):
     """g, dg wrapped to log ("g", x) and ("J", x) per call."""
     log = []
@@ -330,3 +351,31 @@ def test_simplified_newton_refactors_when_kept_direction_ascends():
     assert log[second] == ("J", x1)
     assert kinds[first + 2:second] == ["g"] * (st.MAX_HALVINGS + 1)
     assert abs((x[0] + 0.5) * x[0] * (x[0] - 3.0)) <= cfg.abs_tol
+
+
+def test_start_factor_refactors_when_line_search_exhausted():
+    # x^2 - 4 from 3, started from the factor of g' = -4 (taken at x = -2):
+    # its direction raises |g| at every length, so Newton refactors at 3
+    # after MAX_HALVINGS + 1 trials instead of raising StepFailure
+    res, jac, log = _logged(lambda x: x * x - 4.0, lambda x: 2.0 * x)
+    cfg = NewtonConfig(abs_tol=1e-12, rel_tol=1e-15)
+    x = st.newton_solve(res, jac, np.array([3.0]), cfg,
+                        solve=lambda r: r / -4.0)
+    kinds = [kind for kind, _ in log]
+    assert kinds[:st.MAX_HALVINGS + 3] == ["g"] * (st.MAX_HALVINGS + 2) + ["J"]
+    assert log[st.MAX_HALVINGS + 2] == ("J", 3.0)
+    assert abs(x[0] * x[0] - 4.0) <= cfg.abs_tol
+
+
+def test_start_factor_kept_while_it_contracts(rng):
+    # a start factor of the exact Jacobian of a linear residual is used
+    # as is: no factorization, and the direct solve's result bit for bit
+    a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    b = rng.standard_normal(6)
+    lu = scipy.linalg.lu_factor(a)
+    at = []
+    u = st.newton_solve(lambda u: a @ u - b, lambda u: at.append(u) or a,
+                        np.zeros(6), NewtonConfig(),
+                        solve=lambda r: scipy.linalg.lu_solve(lu, r))
+    assert at == []
+    np.testing.assert_array_equal(u, scipy.linalg.lu_solve(lu, b))

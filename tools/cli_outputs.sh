@@ -7,9 +7,10 @@
 # REPO is the root of a softdyn checkout (its src/ goes on PYTHONPATH) and
 # OUT a directory to fill. BLAS and OpenMP run on one thread, since the
 # thread count can move dense linear algebra at rounding. The stderr of
-# damping-curves, convergence and the incline demo is kept, so that a
-# warning shows up in the comparison; warnings print absolute source
-# paths, so REPO is replaced by the token REPO there.
+# the block_drop simulation, damping-curves, convergence and the incline
+# demo is kept, so that a warning (such as a clamped contact gap) shows up
+# in the comparison; warnings print absolute source paths, so REPO is
+# replaced by the token REPO there.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 REPO OUT" >&2
@@ -35,7 +36,8 @@ with_stderr() {
     rm "$file.raw"
 }
 
-softdyn simulate --scene demos/assets/block_drop.json --out "$out/block_drop"
+with_stderr "$out/block_drop_stderr.txt" softdyn simulate \
+    --scene demos/assets/block_drop.json --out "$out/block_drop"
 softdyn simulate --scene demos/assets/beam_scene.json --out "$out/beam"
 with_stderr "$out/damping_stderr.txt" softdyn damping-curves \
     --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK,ERE \
