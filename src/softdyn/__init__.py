@@ -5,7 +5,7 @@ from .meshes import TetMesh, MeshError, load_mesh, save_mesh, single_tet, \
     box_mesh, beam_mesh
 from .fem import Material, MaterialParams, RayleighParams, \
     build_mass_matrix, lumped_masses, elastic_energy, elastic_force, \
-    stiffness_matrix, rayleigh_damping
+    stiffness_matrix
 from .contact import HalfSpace, Sphere, ContactConfig
 from .system import SimState, ForceModel, state_energy
 from .steppers import Method, NewtonConfig, StepFailure, newton_solve, \
@@ -27,7 +27,6 @@ __all__ = [
     "box_mesh", "beam_mesh",
     "Material", "MaterialParams", "RayleighParams", "build_mass_matrix",
     "lumped_masses", "elastic_energy", "elastic_force", "stiffness_matrix",
-    "rayleigh_damping",
     "HalfSpace", "Sphere", "ContactConfig",
     "SimState", "ForceModel", "state_energy",
     "Method", "NewtonConfig", "StepFailure",

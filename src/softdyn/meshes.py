@@ -79,10 +79,9 @@ class TetMesh:
 
     def free_dof_mask(self):
         """Boolean (3*nv,) mask, False on fixed-vertex dofs."""
-        mask = np.ones(self.num_dofs, dtype=bool)
-        for v in self.fixed_vertices:
-            mask[3 * v:3 * v + 3] = False
-        return mask
+        mask = np.ones((self.num_vertices, 3), dtype=bool)
+        mask[self.fixed_vertices] = False
+        return mask.reshape(-1)
 
 
 def load_mesh(path) -> TetMesh:
@@ -153,50 +152,28 @@ def box_mesh(nx, ny, nz, lx, ly, lz, fix="none") -> TetMesh:
     faces) or "left" (x = 0 face). All boundary vertices are marked as
     surface candidates.
     """
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    zs = np.linspace(0.0, lz, nz + 1)
+    zs, ys, xs = (np.linspace(0.0, ln, nc + 1)
+                  for ln, nc in ((lz, nz), (ly, ny), (lx, nx)))
+    z, y, x = np.meshgrid(zs, ys, xs, indexing="ij")
+    verts = np.stack([x, y, z], axis=-1).reshape(-1, 3)
+    # cells in vertex order (x fastest), their 8 corners' vertex ids
+    k, j, i = (c.reshape(-1, 1) for c in np.meshgrid(
+        np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij"))
+    dx, dy, dz = _CUBE.T
+    dx = np.where((i + j + k) % 2 == 1, 1 - dx, dx)  # mirrored cells
+    corners = ((k + dz) * (ny + 1) + j + dy) * (nx + 1) + i + dx
+    tets = corners[:, _FIVE].reshape(-1, 4)
+    p = verts[tets]  # a negatively oriented tet swaps its last two vertices
+    neg = np.linalg.det(p[:, 1:] - p[:, :1]) < 0
+    tets[neg] = tets[neg][:, [0, 1, 3, 2]]
 
-    def vid(i, j, k):
-        return (k * (ny + 1) + j) * (nx + 1) + i
-
-    verts = np.array([[xs[i], ys[j], zs[k]]
-                      for k in range(nz + 1) for j in range(ny + 1)
-                      for i in range(nx + 1)])
-    tets = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                corners = []
-                mirror = (i + j + k) % 2 == 1
-                for dx, dy, dz in _CUBE:
-                    if mirror:
-                        dx = 1 - dx
-                    corners.append(vid(i + dx, j + dy, k + dz))
-                for a, b, c, d in _FIVE:
-                    tet = [corners[a], corners[b], corners[c], corners[d]]
-                    p = verts[tet]
-                    vol = np.linalg.det(np.stack([p[1] - p[0], p[2] - p[0],
-                                                  p[3] - p[0]], axis=1)) / 6.0
-                    if vol < 0:
-                        tet[2], tet[3] = tet[3], tet[2]
-                    tets.append(tet)
-    tets = np.array(tets, dtype=int)
-
-    on_boundary = ((np.isclose(verts[:, 0], 0) | np.isclose(verts[:, 0], lx)) |
-                   (np.isclose(verts[:, 1], 0) | np.isclose(verts[:, 1], ly)) |
-                   (np.isclose(verts[:, 2], 0) | np.isclose(verts[:, 2], lz)))
-    surface = np.nonzero(on_boundary)[0]
-    if fix == "none":
-        fixed = np.zeros(0, dtype=int)
-    elif fix == "ends":
-        fixed = np.nonzero(np.isclose(verts[:, 0], 0) |
-                           np.isclose(verts[:, 0], lx))[0]
-    elif fix == "left":
-        fixed = np.nonzero(np.isclose(verts[:, 0], 0))[0]
-    else:
+    low, high = np.isclose(verts, 0.0), np.isclose(verts, [lx, ly, lz])
+    fixed = {"none": np.zeros(len(verts), dtype=bool),
+             "ends": low[:, 0] | high[:, 0], "left": low[:, 0]}.get(fix)
+    if fixed is None:
         raise MeshError(f"unknown fix mode {fix!r}")
-    return TetMesh(verts, tets, fixed, surface)
+    surface = np.nonzero((low | high).any(axis=1))[0]
+    return TetMesh(verts, tets, np.nonzero(fixed)[0], surface)
 
 
 def beam_mesh(nx=8, ny=2, nz=2, lx=1.0, ly=0.25, lz=0.25) -> TetMesh:

@@ -16,7 +16,7 @@ from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
                        _implicit_matrix, _solve_stage, _tr_stage)
 from .steppers import newton_solve  # noqa: F401  (re-exported)
-from .system import _splu, free_block
+from .system import _splu
 
 DENSE_EIG_CUTOFF = 300
 # Shift of the sparse eigensolve, just below zero: K - EIG_SHIFT*M stays
@@ -56,10 +56,12 @@ def smallest_eigpairs(k, m, s):
     M-orthonormal with a deterministic sign (largest-magnitude entry > 0).
 
     Up to DENSE_EIG_CUTOFF unknowns the pencil is solved densely, for the
-    s pairs only. Above it,
-    ARPACK runs in shift-invert mode about EIG_SHIFT, and its inverse of
-    K - EIG_SHIFT*M is one symmetric-mode SuperLU factor made by
-    ``system._splu``, the call that factors the implicit stages.
+    s pairs only. Above it, ARPACK runs in shift-invert mode about
+    EIG_SHIFT, and its inverse of K - EIG_SHIFT*M is one symmetric-mode
+    SuperLU factor made by ``system._splu``, the call that factors the
+    implicit stages. That factor keeps the pencil's own order, so a large
+    pencil should come in a fill-reducing order, as ``modal_split`` passes
+    it.
     """
     n = k.shape[0]
     if s > n:
@@ -97,17 +99,18 @@ def smallest_eigpairs(k, m, s):
 
 def modal_split(model, u, s, policy=RefreshPolicy.ONCE, every_n=1) -> ModalSplit:
     """Build the split from the model's stiffness at state u, respecting
-    fixed-vertex masking (eigenproblem solved on the free block)."""
+    fixed-vertex masking: the eigenproblem is solved on the free block, in
+    the order of the model's factors, and X is un-permuted once."""
     n = model.ndof
-    q = u[:n]
-    free = model.free
-    nfree = int(free.sum())
+    nfree = int(model.free.sum())
     if s > nfree:
         raise ValueError(f"s={s} exceeds free dimension {nfree}")
-    kf = free_block(model.stiffness(q), free)
-    xf, lam = smallest_eigpairs(kf, sp.diags(model.mass[free]), s)
+    ed = getattr(model, "_ed", None)  # a ForceModel's factor order
+    take = np.flatnonzero(model.free) if ed is None else ed.take
+    kf = sp.csr_matrix(model.stiffness(u[:n]))[take][:, take]
+    xf, lam = smallest_eigpairs(kf, sp.diags(model.mass[take]), s)
     x = np.zeros((n, s))
-    x[free] = xf
+    x[take] = xf
     neg = int((lam < 0).sum())
     ms = ModalSplit(x, lam, policy, every_n, negative_count=neg)
     if neg:

@@ -61,6 +61,8 @@ def _take(d, where, other=(), reals=(), ints=(), vectors=(), required=()):
     vectors, and every name in required present; a JSON number under
     reals, an integer under ints and a list of 3 numbers under vectors,
     where no number is a boolean."""
+    if not isinstance(d, dict):
+        raise SceneError(f"{where} must be a JSON object, not {d!r}")
     extra = set(d) - {*other, *reals, *ints, *vectors}
     if extra:
         raise SceneError(f"unknown field(s) {sorted(extra)} in {where}")
@@ -96,6 +98,8 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
           ("duration", "output_cadence"), vectors=("gravity",),
           required=("mesh", "material", "stepper", "duration",
                     "output_cadence"))
+    if not isinstance(data["mesh"], str):
+        raise SceneError(f"scene.mesh must be a string, not {data['mesh']!r}")
     mesh_path = os.path.join(base_dir, data["mesh"])
     if not os.path.exists(mesh_path):
         raise SceneError(f"mesh file not found: {mesh_path}")
@@ -118,9 +122,13 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
 
     con = None
     if "contact" in data:
+        _take(data["contact"], "contact", {"surfaces"},
+              ("delta", "kappa", "mu", "epsilon"))
         cd = dict(data["contact"])
-        _take(cd, "contact", {"surfaces"}, ("delta", "kappa", "mu", "epsilon"))
-        surfs = [_parse_surface(s, i) for i, s in enumerate(cd.pop("surfaces", []))]
+        surfs = cd.pop("surfaces", [])
+        if not isinstance(surfs, list):
+            raise SceneError(f"contact.surfaces must be a list, not {surfs!r}")
+        surfs = [_parse_surface(s, i) for i, s in enumerate(surfs)]
         con = ct.ContactConfig(tuple(surfs), **cd)
 
     sd = data["stepper"]
@@ -136,8 +144,8 @@ def parse_scene(data: dict, base_dir=".") -> SceneConfig:
 
     red = None
     if "reduction" in data:
+        _take(data["reduction"], "reduction", {"refresh"}, ints=("s", "every_n"))
         rdd = dict(data["reduction"])
-        _take(rdd, "reduction", {"refresh"}, ints=("s", "every_n"))
         red = ReductionConfig(policy=RefreshPolicy(rdd.pop("refresh", "once")),
                               **rdd)
 

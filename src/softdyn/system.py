@@ -45,17 +45,11 @@ class SimState:
         return SimState(u[:n], u[n:], t, history)
 
 
-def free_block(mat, free):
-    """The free-by-free block of an n x n matrix, as CSR."""
-    return sp.csr_matrix(mat)[free][:, free]
-
-
 def _splu(a):
-    """SuperLU factor of a symmetric CSC matrix: MMD ordering on the pattern
-    of A + A^T and diagonal pivots first (symmetric mode). It serves the
-    n-space stages and the eigen refresh."""
-    return spla.splu(a, permc_spec="MMD_AT_PLUS_A",
-                     options={"SymmetricMode": True})
+    """SuperLU factor of a CSC matrix already in fill-reducing order:
+    NATURAL column order and diagonal pivots first (symmetric mode). It
+    serves the n-space stages and the eigen refresh."""
+    return spla.splu(a, permc_spec="NATURAL", options={"SymmetricMode": True})
 
 
 class ForceModel:
@@ -77,12 +71,12 @@ class ForceModel:
         self.gravity_force.flags.writeable = False
         self.free = mesh.free_dof_mask()
         self.q_rest = mesh.rest_positions.reshape(-1)
+        self._ed = fem._edata(mesh)  # element data and factor pattern
         self._k_linear = None
         self._memo = {}
         self.gap_clamps = 0  # clamped contacts of every contact set computed
         if mat.model is Material.LINEAR:
             self._k_linear = fem.stiffness_matrix(mesh, mat, self.q_rest)
-            self._k_linear.eliminate_zeros()  # element sums that cancel
 
     def _cached(self, name, kernel, params, q):
         """kernel(mesh, params, q), kept for the last q seen under name:
@@ -150,40 +144,53 @@ class ForceModel:
         out[n:] = np.where(self.free, acc, 0.0)
         return out
 
-    def _tangents(self, u):
-        """(K_eff, D_eff) with contact and friction terms, unmasked."""
+    def _free_tangents(self, u):
+        """(K_eff, D_eff) with contact and friction terms, as data on the
+        mesh's factor pattern; D_eff is None when there is no damping."""
+        ed = self._ed
         q, v = np.split(u, 2)
-        k = self.stiffness(q)
-        d = fem.rayleigh_damping(k, sp.diags(self.mass), self.rayleigh)
+        k = self.stiffness(q).data[ed.kmap]
+        d = None
+        if self.rayleigh.alpha or self.rayleigh.beta:
+            d = self.rayleigh.alpha * k
+            d[ed.diag] += self.rayleigh.beta * self.mass[ed.take]
         if self.contact is not None:
-            cs = self._contact_set(q)
-            k = k - ct.contact_stiffness(self.mesh, cs, self.contact, q)
-            d = d - ct.friction_velocity_jacobian(self.mesh, cs, self.contact, q, v)
+            args = self.mesh, self._contact_set(q), self.contact, q
+            k = k - ed.free_blocks(ct.contact_stiffness(*args))
+            df = ed.free_blocks(ct.friction_velocity_jacobian(*args, v))
+            d = -df if d is None else d - df
         return k, d
 
     def eval_J(self, u) -> sp.csr_matrix:
         """Block Jacobian [[0, I], [-M^-1 K_eff, -M^-1 D_eff]], masked."""
-        k, d = self._tangents(u)
-        mask = sp.diags(self.free.astype(float))
-        pm = mask @ sp.diags(self.minv)
-        return sp.bmat([[None, mask], [-(pm @ k @ mask), -(pm @ d @ mask)]],
+        ed, n, nf = self._ed, self.ndof, self._ed.take.size
+        e = sp.csr_matrix((np.ones(nf), (ed.take, np.arange(nf))), shape=(n, nf))
+        jk, jd = (None if x is None else
+                  sp.diags(-self.minv) @ e @ ed.free_csc(x) @ e.T
+                  for x in self._free_tangents(u))
+        return sp.bmat([[None, sp.diags(self.free.astype(float))], [jk, jd]],
                        format="csr")
 
     def shifted(self, u, c):
         """r -> (I - c J(u))^-1 r in n-space (Baraff & Witkin, "Large Steps
         in Cloth Simulation", 1998): factors (M + c D_eff + c^2 K_eff)_ff =
-        a_ff once, and solves r = (a; b) of shape (2n,) or (2n, k) by
-        y_fixed = b_fixed, a_ff y_f = M_f b_f - c K_ff a_f, x = (a + cPy; y)."""
-        n, free, p = self.ndof, self.free, self.free[:, None]
-        k, d = self._tangents(u)
-        lu = _splu(free_block(sp.diags(self.mass) + c * d + (c * c) * k,
-                              free).tocsc())
+        a_ff once, on the mesh's pre-ordered pattern, and solves r = (a; b)
+        of shape (2n,) or (2n, k) by y_fixed = b_fixed,
+        a_ff y_f = M_f b_f - c K_ff a_f, x = (a + cPy; y)."""
+        ed = self._ed
+        n, take, p = self.ndof, ed.take, self.free[:, None]
+        k, d = self._free_tangents(u)
+        a_ff = (c * c) * k
+        if d is not None:
+            a_ff += c * d
+        a_ff[ed.diag] += self.mass[take]
+        lu = _splu(ed.free_csc(a_ff))
+        kff, m = ed.free_csc(k), self.mass[take, None]
 
         def solve(r):
             a, b = np.split(np.reshape(r, (2 * n, -1)), 2)
             y = b.copy()
-            y[free] = lu.solve(self.mass[free, None] * b[free]
-                               - c * (k @ (p * a))[free])
+            y[take] = lu.solve(m * b[take] - c * (kff @ a[take]))
             return np.concatenate([a + c * (p * y), y]).reshape(np.shape(r))
 
         return solve

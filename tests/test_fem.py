@@ -59,25 +59,58 @@ def test_stiffness_symmetric(small_mesh, material, rng):
     assert np.abs(k - k.T).max() < 1e-10 * max(1.0, np.abs(k).max())
 
 
+# vec is column-major here: vec(F) = F.T.reshape(9); T9 vec(F) = vec(F^T).
+T9 = np.zeros((9, 9))
+for _i in range(3):
+    for _j in range(3):
+        T9[3 * _j + _i, 3 * _i + _j] = 1.0
+
+
+def _skew(v):
+    z = np.zeros(v.shape[0])
+    return np.stack([
+        np.stack([z, -v[:, 2], v[:, 1]], axis=1),
+        np.stack([v[:, 2], z, -v[:, 0]], axis=1),
+        np.stack([-v[:, 1], v[:, 0], z], axis=1)], axis=1)
+
+
+def _cof_derivative(f):
+    """d vec(cof F)/d vec(F) (nt, 9, 9), column-major vec."""
+    h = np.zeros((f.shape[0], 9, 9))
+    s = [_skew(f[:, :, k]) for k in range(3)]
+    h[:, 0:3, 3:6], h[:, 0:3, 6:9] = -s[2], s[1]
+    h[:, 3:6, 0:3], h[:, 3:6, 6:9] = s[2], -s[0]
+    h[:, 6:9, 0:3], h[:, 6:9, 3:6] = -s[1], s[0]
+    return h
+
+
 def reference_stiffness(mesh, mat, q):
-    """K by the per-element einsum contraction and a COO scatter, then
-    symmetrized globally."""
-    ed = fem._edata(mesh)
+    """K as vol G^T A G per element, G = N (x) I3 the map from the 12 vertex
+    dofs to vec(F) and A the 9x9 material tangent, by einsum and a COO
+    scatter, then symmetrized globally. It uses nothing of fem's kernels."""
     nt, n = mesh.num_tets, mesh.num_dofs
     mu, lam = mat.mu, mat.lam
+    dm = mesh.edge_matrices()
+    vol, dminv = np.linalg.det(dm) / 6.0, np.linalg.inv(dm)
+    nmat = np.concatenate([-dminv.sum(axis=1)[:, None], dminv], axis=1)
+    g = np.einsum("eaj,ik->ejiak", nmat, np.eye(3)).reshape(nt, 9, 12)
     if mat.model is sd.Material.LINEAR:
-        a = mu * (np.eye(9) + fem._T9) + lam * np.outer(fem._VEC_I, fem._VEC_I)
+        vec_i = np.eye(3).reshape(9)
+        a = mu * (np.eye(9) + T9) + lam * np.outer(vec_i, vec_i)
         a = np.broadcast_to(a, (nt, 9, 9))
     else:
-        f = fem._def_gradients(mesh, q)
-        vec_c = fem._cof(f).transpose(0, 2, 1).reshape(nt, 9)
+        f = np.einsum("eai,eaj->eij", q.reshape(-1, 3)[mesh.tets], nmat)
+        cof = np.stack([np.cross(f[:, :, 1], f[:, :, 2]),
+                        np.cross(f[:, :, 2], f[:, :, 0]),
+                        np.cross(f[:, :, 0], f[:, :, 1])], axis=2)
+        vec_c = cof.transpose(0, 2, 1).reshape(nt, 9)
         j = np.linalg.det(f)
         a = (mu * np.eye(9) + lam * np.einsum("ei,ej->eij", vec_c, vec_c)
-             + lam * (j - 1.0 - mu / lam)[:, None, None]
-             * fem._cof_derivative(f))
-    ke = np.einsum("e,eab,eac,ecd->ebd", ed.vol, ed.g, a, ed.g)
-    rows = np.repeat(ed.dofs, 12, axis=1).ravel()
-    cols = np.tile(ed.dofs, (1, 12)).ravel()
+             + lam * (j - 1.0 - mu / lam)[:, None, None] * _cof_derivative(f))
+    ke = np.einsum("e,eab,eac,ecd->ebd", vol, g, a, g)
+    dofs = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(nt, 12)
+    rows = np.repeat(dofs, 12, axis=1).ravel()
+    cols = np.tile(dofs, (1, 12)).ravel()
     k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return 0.5 * (k + k.T)
 
@@ -96,6 +129,20 @@ def test_stiffness_fixed_pattern(beam, material, rng):
     k = sd.stiffness_matrix(beam, material, q).toarray()
     ref = reference_stiffness(beam, material, q).toarray()
     assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2),
+       st.sampled_from(list(sd.Material)), st.floats(0.01, 0.3),
+       st.integers(0, 2**32 - 1))
+def test_stiffness_bitwise_symmetric_on_random_states(nx, ny, nz, model,
+                                                      scale, seed):
+    """K is exactly symmetric, element blocks and their sums, on states up
+    to inverted elements: no symmetrization pass is needed."""
+    mesh = sd.box_mesh(nx, ny, nz, 0.1 * nx, 0.1 * ny, 0.1 * nz)
+    mat = sd.MaterialParams(model, 1e5, 0.4, 1000.0)
+    k = sd.stiffness_matrix(mesh, mat, perturb(mesh, np.random.default_rng(seed),
+                                               scale))
+    assert (k - k.T).count_nonzero() == 0
 
 
 def test_stiffness_results_share_no_index_arrays(beam, material):
@@ -177,17 +224,6 @@ def test_snh_rest_stability():
     k = sd.stiffness_matrix(mesh, mat, mesh.rest_positions.reshape(-1)).toarray()
     w = np.linalg.eigvalsh(0.5 * (k + k.T))
     assert w.min() > -1e-6 * w.max()
-
-
-def test_rayleigh_damping_combination(small_mesh):
-    mat = sd.MaterialParams(sd.Material.LINEAR, 1e5, 0.3, 1000.0)
-    q = small_mesh.rest_positions.reshape(-1)
-    k = sd.stiffness_matrix(small_mesh, mat, q)
-    m = sd.build_mass_matrix(small_mesh, mat.density)
-    # convention here: alpha multiplies K, beta multiplies M
-    d = sd.rayleigh_damping(k, m, sd.RayleighParams(0.01, 0.3))
-    ref = 0.01 * k.toarray() + 0.3 * m.toarray()
-    assert np.abs(d.toarray() - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_element_cache_releases_mesh():

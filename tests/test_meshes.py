@@ -25,6 +25,21 @@ def test_box_conforming_positive():
     assert np.isclose(m.rest_volumes().sum(), 1.0 * 0.5 * 0.3)
 
 
+def test_box_tets_pinned():
+    """The 3x2x1 box's tets, vertex order and orientation swaps included,
+    as the per-cell construction numbered them."""
+    m = sd.box_mesh(3, 2, 1, 0.3, 0.2, 0.1)
+    np.testing.assert_array_equal(m.tets, [
+        [0, 1, 4, 12], [1, 5, 4, 17], [1, 12, 13, 17], [4, 12, 17, 16],
+        [1, 4, 12, 17], [2, 1, 14, 6], [1, 5, 17, 6], [1, 14, 17, 13],
+        [6, 14, 18, 17], [1, 6, 17, 14], [2, 3, 6, 14], [3, 7, 6, 19],
+        [3, 14, 15, 19], [6, 14, 19, 18], [3, 6, 14, 19], [5, 4, 17, 9],
+        [4, 8, 20, 9], [4, 17, 20, 16], [9, 17, 21, 20], [4, 9, 20, 17],
+        [5, 6, 9, 17], [6, 10, 9, 22], [6, 17, 18, 22], [9, 17, 22, 21],
+        [6, 9, 17, 22], [7, 6, 19, 11], [6, 10, 22, 11], [6, 19, 22, 18],
+        [11, 19, 23, 22], [6, 11, 22, 19]])
+
+
 def test_fixed_sets():
     m = sd.box_mesh(2, 1, 1, 0.2, 0.1, 0.1, fix="ends")
     x = m.rest_positions[m.fixed_vertices, 0]

@@ -422,7 +422,8 @@ def _beam12():
 
 def test_sparse_eigensolve_factors_once_in_symmetric_mode(monkeypatch):
     """The shift-invert eigensolve factors K - sigma M once, by the
-    steppers' MMD symmetric-mode SuperLU call."""
+    steppers' symmetric-mode SuperLU call, on the pencil pre-ordered by the
+    mesh's fill-reducing order (NATURAL column order)."""
     model = _beam12()
     calls = []
     splu = spla.splu
@@ -433,7 +434,7 @@ def test_sparse_eigensolve_factors_once_in_symmetric_mode(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", logged)
     reduction.modal_split(model, _rest_u(model), 6)
-    assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
+    assert calls == [{"permc_spec": "NATURAL",
                       "options": {"SymmetricMode": True}}]
 
 

@@ -158,11 +158,15 @@ SURFACES = {"halfspace": {"kind": "halfspace", "point": [0.0, 0.0, -1.0],
     ("halfspace", "normal", [0.0, 0.0, "1"]),
     ("halfspace", "point", [0.0, 0.0]),
     ("sphere", "center", [0.0, None, 0.0]),
+    (None, "mesh", 5),
+    ("contact", "surfaces", 5),
+    (None, "stepper", [1]),
 ])
 def test_cli_bad_scene_number_exit(scene_dir, tmp_path, capsys, section,
                                    field, value):
     """A scene number of the wrong JSON type or out of range, a missing
-    required field or a method that is not a string is a config error
+    required field, a method or mesh that is not a string, a section that
+    is not an object or surfaces that are not a list is a config error
     (exit 2) that names the field, not a traceback."""
     d, data = scene_dir
     data = json.loads(json.dumps(data))

@@ -1,7 +1,10 @@
 """First-order form: recomposition identity, Jacobian vs FD, spectrum, and
 the n-space solve of I - cJ against the 2n block system."""
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +92,18 @@ def test_undamped_spectrum_imaginary():
     ref = np.sort(np.concatenate([np.sqrt(lam), -np.sqrt(lam)]))
     got = np.sort(ev.imag)
     np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-8)
+
+
+def test_rayleigh_damping_combination(beam):
+    """D = alpha K + beta M (alpha multiplies K, beta M): eval_J's velocity
+    block is -M^-1 D on the free dofs."""
+    mat = sd.MaterialParams(sd.Material.LINEAR, 1e5, 0.3, 1000.0)
+    model = sd.ForceModel(beam, mat, sd.RayleighParams(0.01, 0.3))
+    n, free = model.ndof, np.ix_(model.free, model.free)
+    jd = model.eval_J(np.concatenate([model.q_rest, np.zeros(n)])).toarray()
+    d = 0.01 * model.stiffness(model.q_rest).toarray() + 0.3 * np.diag(model.mass)
+    ref = -(d / model.mass[:, None])[free]
+    assert np.abs(jd[n:, n:][free] - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_state_energy_components(model):
@@ -225,18 +240,21 @@ def test_gap_clamps_counted_once_per_configuration():
     assert model.gap_clamps == 12
 
 
-def test_linear_stiffness_stores_no_zeros(beam, rng):
-    """The linear material's constant K drops the entries whose element
-    contributions cancel; its force equals the unpruned product exactly."""
+def test_linear_stiffness_keeps_canonical_pattern(beam, rng):
+    """The linear material's constant K stays on the mesh's canonical
+    pattern, entries whose element contributions cancel included, so the
+    factor pattern's maps apply to it; its force is -K (q - q_rest)."""
     mat = sd.MaterialParams(sd.Material.LINEAR, 1e5, 0.4, 1000.0)
     model = sd.ForceModel(beam, mat, sd.RayleighParams(), (0, 0, -9.8))
     q = rand_state(model, rng)[:model.ndof]
     k = model.stiffness(q)
-    assert k.nnz == k.count_nonzero()
-    unpruned = sd.stiffness_matrix(beam, mat, model.q_rest)
-    assert unpruned.nnz > k.nnz
+    snh = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    ref = sd.stiffness_matrix(beam, snh, q)
+    np.testing.assert_array_equal(k.indptr, ref.indptr)
+    np.testing.assert_array_equal(k.indices, ref.indices)
+    assert k.nnz > k.count_nonzero()
     np.testing.assert_array_equal(model.elastic_force(q),
-                                  -(unpruned @ (q - model.q_rest)))
+                                  -(k @ (q - model.q_rest)))
 
 
 def _contact_model(mesh, material, rayleigh=(0.0, 0.0)):
@@ -314,6 +332,68 @@ def test_force_model_factors_only_free_block(beam, rng, monkeypatch, method):
     assert log["eval_J"] == 0
     if method == "BE-contact":
         assert adv.last_diag["n_contacts"] > 0
+
+
+def _logged_splu(monkeypatch):
+    """Log (permc_spec, nnz of L+U) of every SuperLU factorization."""
+    log, splu = [], spla.splu
+
+    def logged(a, *args, **kwargs):
+        lu = splu(a, *args, **kwargs)
+        log.append((kwargs.get("permc_spec"), lu.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", logged)
+    return log
+
+
+def test_fill_order_computed_once_per_mesh(monkeypatch):
+    """Two models on one mesh, 5 steps each, compute one MMD order: that of
+    the mesh's free vertex graph. Every factor keeps its matrix's order."""
+    log = _logged_splu(monkeypatch)
+    mesh = sd.beam_mesh(8, 2, 2, 1.0, 0.25, 0.25)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    red = sd.ReductionConfig(s=4, policy=reduction.RefreshPolicy.EVERY_STEP)
+    for method in ("TRBDF2", "STRSBDF2ERE"):
+        model = sd.ForceModel(mesh, mat, sd.RayleighParams(0.01, 0.5),
+                              (0, 0, -9.8))
+        adv = sd.Advancer(model, method, 0.01, red=red)
+        state = sd.SimState(model.q_rest, np.zeros(model.ndof))
+        for _ in range(5):
+            state = adv.step(state)
+    specs = [spec for spec, _ in log]
+    assert specs[0] == "MMD_AT_PLUS_A"
+    assert specs.count("MMD_AT_PLUS_A") == 1 and len(specs) > 10
+    assert set(specs[1:]) == {"NATURAL"}
+
+
+@pytest.mark.parametrize("nx, ny, nz", [(8, 2, 2), (16, 4, 4)])
+def test_preordered_fill_matches_per_call_mmd(nx, ny, nz, rng, monkeypatch):
+    """The factor on the pre-ordered pattern fills L+U no more than 1.01x
+    an MMD order computed for the matrix itself, in dof order."""
+    mesh = sd.beam_mesh(nx, ny, nz, 1.0, 0.25, 0.25)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8))
+    n, free, c = model.ndof, model.free, 0.25 / 60
+    q = np.where(free, perturb(mesh, rng, 0.005), model.q_rest)
+    a = sp.diags(model.mass) + (c * c) * model.stiffness(q)
+    ref = spla.splu(sp.csr_matrix(a)[free][:, free].tocsc(),
+                    permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    log = _logged_splu(monkeypatch)
+    model.shifted(np.concatenate([q, np.zeros(n)]), c)
+    assert [spec for spec, _ in log] == ["NATURAL"]
+    assert log[0][1] <= 1.01 * ref.nnz
+
+
+def test_import_loads_no_optimize_or_csgraph():
+    """import softdyn loads neither scipy.optimize nor scipy.sparse.csgraph:
+    either would raise every run's peak RSS."""
+    code = ("import sys, softdyn; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.optimize', 'scipy.sparse.csgraph'))))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         cwd=Path(sd.__file__).parents[1],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 _SPLU = spla.splu
