@@ -4,8 +4,7 @@ subspace-split time integrators on tetrahedral FEM meshes."""
 from .meshes import TetMesh, MeshError, load_mesh, save_mesh, single_tet, \
     box_mesh, beam_mesh
 from .fem import Material, MaterialParams, RayleighParams, \
-    build_mass_matrix, lumped_masses, elastic_energy, elastic_force, \
-    stiffness_matrix
+    lumped_masses, elastic_energy, elastic_force, stiffness_matrix
 from .contact import HalfSpace, Sphere, ContactConfig
 from .system import SimState, ForceModel, state_energy
 from .steppers import Method, NewtonConfig, StepFailure, newton_solve, \
@@ -25,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "TetMesh", "MeshError", "load_mesh", "save_mesh", "single_tet",
     "box_mesh", "beam_mesh",
-    "Material", "MaterialParams", "RayleighParams", "build_mass_matrix",
-    "lumped_masses", "elastic_energy", "elastic_force", "stiffness_matrix",
+    "Material", "MaterialParams", "RayleighParams", "lumped_masses",
+    "elastic_energy", "elastic_force", "stiffness_matrix",
     "HalfSpace", "Sphere", "ContactConfig",
     "SimState", "ForceModel", "state_energy",
     "Method", "NewtonConfig", "StepFailure",

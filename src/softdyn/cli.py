@@ -114,7 +114,7 @@ def cmd_convergence(args):
 
         def step(u, um1, h, entry=entry):
             if entry.history == 2 and um1 is None:
-                return steppers.bootstrap_history(rig, u, h, cfg=cfg)[0]
+                return steppers.bootstrap_history(rig, u, h, cfg)
             return entry.step(rig, u, um1, h, cfg, None, None)
 
         rows.append((m, analysis.convergence_order(step, u0, 1.0, h_list,

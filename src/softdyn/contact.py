@@ -221,11 +221,6 @@ def contact_jacobian(mesh, cs: ContactSet, q):
     return jc, bn, bt
 
 
-def sliding_basis(jc, bt):
-    """T = J_C^T B_T, mapping tangential force coords to generalized forces."""
-    return jc.T @ bt
-
-
 def s_profile(x, eps):
     """C1 pre-sliding ramp: 2x/eps - x^2/eps^2 below eps, else 1."""
     x = np.asarray(x, dtype=float)

@@ -64,7 +64,7 @@ class Advancer:
         if self.entry.history == 2 and um1 is None:
             # the bootstrap forward step is the first step of the run; a
             # modal row takes its first split at the step after it
-            u1 = steppers.bootstrap_history(model, u0, h, cfg=self.newton)[0]
+            u1 = steppers.bootstrap_history(model, u0, h, self.newton)
             diag["bootstrap"] = 1
         else:
             if self.entry.modal:

@@ -104,16 +104,6 @@ def _modal_pieces(lambdas, h):
     return lam, c, sn, p
 
 
-def _blocks(lam, a, b):
-    """(s, 2, 2) stack of [[a, b], [-lam b, a]]."""
-    out = np.empty((len(lam), 2, 2))
-    out[:, 0, 0] = a
-    out[:, 0, 1] = b
-    out[:, 1, 0] = -lam * b
-    out[:, 1, 1] = a
-    return out
-
-
 def phi1_modal(lambdas, h):
     """Exact h*phi1(h A_i) for per-mode blocks A_i = [[0, 1], [-lam, 0]].
 
@@ -121,26 +111,18 @@ def phi1_modal(lambdas, h):
     lam ~ 0 the series.
     """
     lam, _, sn, p = _modal_pieces(lambdas, h)
-    return _blocks(lam, sn, p)
-
-
-def exp_modal(lambdas, h):
-    """Exact expm(h A_i) for per-mode blocks A_i = [[0, 1], [-lam, 0]]."""
-    lam, c, sn, _ = _modal_pieces(lambdas, h)
-    return _blocks(lam, c, sn)
-
-
-def _apply_blocks(blocks, gq, gv):
-    pq = blocks[:, 0, 0] * gq + blocks[:, 0, 1] * gv
-    pv = blocks[:, 1, 0] * gq + blocks[:, 1, 1] * gv
-    return pq, pv
+    return np.stack([np.stack([sn, p], -1), np.stack([-lam * p, sn], -1)], -2)
 
 
 def exp_modal_apply(lambdas, h, gq, gv):
-    """Apply expm(h J_G^r) to the reduced vector (gq, gv) mode by mode."""
-    return _apply_blocks(exp_modal(lambdas, h), gq, gv)
+    """Apply expm(h J_G^r) to the reduced vector (gq, gv): per mode the block
+    [[c, sn], [-lam sn, c]] of ``_modal_pieces``."""
+    lam, c, sn, _ = _modal_pieces(lambdas, h)
+    return c * gq + sn * gv, -lam * sn * gq + c * gv
 
 
 def phi1_modal_apply(lambdas, h, gq, gv):
-    """Apply h*phi1(h J_G^r) to the reduced vector (gq, gv) mode by mode."""
-    return _apply_blocks(phi1_modal(lambdas, h), gq, gv)
+    """Apply h*phi1(h J_G^r) to the reduced vector (gq, gv): per mode the
+    block [[sn, p], [-lam p, sn]] of ``_modal_pieces``."""
+    lam, _, sn, p = _modal_pieces(lambdas, h)
+    return sn * gq + p * gv, -lam * p * gq + sn * gv

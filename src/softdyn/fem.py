@@ -70,11 +70,6 @@ def lumped_masses(mesh: TetMesh, density):
     return np.repeat(m, 3)
 
 
-def build_mass_matrix(mesh: TetMesh, density) -> sp.csr_matrix:
-    """Row-sum lumped diagonal mass matrix of size 3*nv."""
-    return sp.diags(lumped_masses(mesh, density)).tocsr()
-
-
 _PAIRS = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])  # pairs a < b
 _NEXT, _NEXT2 = np.array([1, 2, 0]), np.array([2, 0, 1])  # i + 1, i + 2 mod 3
 

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
-                       _implicit_matrix, _solve_stage, _tr_stage)
+                       _shifted_solve, _solve_stage, _tr_stage)
 from .steppers import newton_solve  # noqa: F401  (re-exported)
 from .system import _splu
 
@@ -177,8 +177,9 @@ def _jg_apply(model, ms: ModalSplit, w):
 class SmwSolver:
     """Solves (A + Y Z^T) x = rhs with one factorization of A.
 
-    A is a sparse or dense 2n matrix or its solve r -> A^-1 r (a ForceModel's
-    ``shifted``), Y and Z are skinny (2n rows). Counts solves for diagnostics.
+    A is a sparse or dense 2n matrix or its solve r -> A^-1 r (as
+    ``_shifted_solve`` gives), Y and Z are skinny (2n rows). Counts solves
+    for diagnostics.
     """
 
     def __init__(self, a, y=None, z=None):
@@ -205,11 +206,6 @@ class SmwSolver:
         return x - self._ainv_y @ w
 
 
-def smw_solve(a, y, z, rhs):
-    """One-shot (A + Y Z^T)^{-1} rhs."""
-    return SmwSolver(a, y, z).solve(rhs)
-
-
 def _smw_factors(model, ms: ModalSplit, coeff):
     """Y, Z with I - c*J_H = (I - c*J) + Y Z^T, the c factor in Z: the
     blocks of c*J_G are Y = [[X, 0], [0, -X lam]], Z = [[0, cMX], [cMX, 0]]."""
@@ -223,7 +219,7 @@ def _smw_factors(model, ms: ModalSplit, coeff):
 def _h_solver(model, u_ref, ms: ModalSplit, coeff) -> SmwSolver:
     """Factorized solver for (I - coeff * J_H(u_ref))."""
     y, z = _smw_factors(model, ms, coeff)
-    return SmwSolver(_implicit_matrix(model, u_ref, coeff), y, z)
+    return SmwSolver(_shifted_solve(model, u_ref, coeff), y, z)
 
 
 def _ere_subspace_term(model, u, ms: ModalSplit, h):

@@ -4,11 +4,13 @@ stages. A semi-implicit method is its implicit twin in one-iteration mode
 (cfg=None).
 
 Steppers act on any system exposing ``eval_F(u)`` and ``eval_J(u)`` (J may
-be dense or sparse). A system with ``shifted(u, c)``, as ForceModel, is
-asked for the factored solve of I - cJ instead. A failed stage solve raises
-StepFailure with its stage. The step size is kept constant by the caller,
-and the Newton step functions take its store of factors, {c: solve} per
-stage coefficient c, to start each stage from the last factor under c.
+be dense or sparse). Every implicit stage solves with I - cJ through one
+type, the factored solve r -> (I - cJ)^-1 r of ``_shifted_solve``: a system
+with ``shifted(u, c)``, as ForceModel, supplies it, and for any other the
+assembled I - cJ is factored. A failed stage solve raises StepFailure with
+its stage. The step size is kept constant by the caller, and the Newton
+step functions take its store of factors, {c: solve} per stage coefficient
+c, to start each stage from the last factor under c.
 """
 
 from __future__ import annotations
@@ -113,14 +115,14 @@ def _factorize(jmat):
     return lambda r: scipy.linalg.lu_solve(lu, r)
 
 
-def _implicit_matrix(model, u, c):
-    """I - c J(u): factored by ``model.shifted`` if any, else CSC or dense."""
+def _shifted_solve(model, u, c):
+    """The solve r -> (I - c J(u))^-1 r: ``model.shifted``'s if it has one,
+    else the factored I - c J of ``eval_J``, sparse or dense."""
     if hasattr(model, "shifted"):
         return model.shifted(u, c)
     j = model.eval_J(u)
-    if sp.issparse(j):
-        return (sp.identity(j.shape[0]) - c * j).tocsc()
-    return np.eye(j.shape[0]) - c * np.asarray(j)
+    eye = sp.identity if sp.issparse(j) else np.eye
+    return _factorize(eye(j.shape[0]) - c * j)
 
 
 def _direction(jacobian_fn, solve, u, g, gnorm):
@@ -216,7 +218,7 @@ def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None,
     store ``factors`` ({coeff_h: solve}), Newton starts from the factor
     kept under coeff_h, and each factor it makes is kept there."""
     def factor(u):
-        solve = _factorize(_implicit_matrix(model, u, coeff_h))
+        solve = _shifted_solve(model, u, coeff_h)
         if factors is not None:
             factors[coeff_h] = solve
         return solve
@@ -327,13 +329,7 @@ METHODS = {
 }
 
 
-def bootstrap_history(model, u0, h, policy: Method = Method.SDIRK,
-                      cfg: NewtonConfig = NewtonConfig()):
-    """Synthesize history for two-step methods: one forward step of the
-    configured one-step method, then relabel (u0 -> um1, u1 -> u0).
-
-    Returns (u0_new, um1_new)."""
-    entry = METHODS.get(policy)
-    if entry is None or entry.history != 1:
-        raise ValueError(f"{policy} is not a one-step bootstrap policy")
-    return entry.step(model, u0, None, h, cfg, None, None), u0
+def bootstrap_history(model, u0, h, cfg: NewtonConfig = NewtonConfig()):
+    """Synthesize a two-step method's history: one SDIRK step from u0.
+    Returns u1; the caller keeps u0 as the previous state."""
+    return step_sdirk(model, u0, h, cfg)

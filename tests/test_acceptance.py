@@ -232,7 +232,7 @@ def test_criterion_06_siere_limits_and_smw(capsys):
         z = rng.standard_normal((n, r))
         rhs = rng.standard_normal(n)
         ref = np.linalg.solve(a + y @ z.T, rhs)
-        got = reduction.smw_solve(a, y, z, rhs)
+        got = reduction.SmwSolver(a, y, z).solve(rhs)
         smw_worst = max(smw_worst,
                         np.linalg.norm(got - ref) / np.linalg.norm(ref))
     smw_ok = smw_worst <= 1e-8
@@ -434,7 +434,7 @@ def test_criterion_09_contact_and_friction(capsys):
         ff = contact.friction_force(mesh, cs, cfg, q, v)
         power_worst = max(power_worst, float(v @ ff))
         jc, _, bt = contact.contact_jacobian(mesh, cs, q)
-        t = contact.sliding_basis(jc, bt)
+        t = jc.T @ bt  # tangential force coordinates -> generalized forces
         lam = contact.contact_lambda(cs, cfg)
         fbar = t.T @ ff
         for i in range(cs.count):

@@ -99,13 +99,19 @@ def test_ere_exact_on_linear():
 
 
 def test_phi1_modal_oracle():
-    # 2x2 block of h*phi1(h*A) for A = [[0,1],[-lam,0]] vs dense reference
+    # 2x2 blocks of h*phi1(h*A) and expm(h*A) for A = [[0,1],[-lam,0]] vs
+    # dense references; exp_modal_apply maps the unit vectors to its columns
     h = 0.37
     for lam in (-25.0, -1e-13, 0.0, 1e-13, 4.0, 900.0):
         a = np.array([[0.0, 1.0], [-lam, 0.0]])
         ref = h * phi1_reference(h * a)
         got = expo.phi1_modal(np.array([lam]), h)[0]
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+        got = np.array(expo.exp_modal_apply(np.array([lam, lam]), h,
+                                            np.array([1.0, 0.0]),
+                                            np.array([0.0, 1.0])))
+        np.testing.assert_allclose(got, scipy.linalg.expm(h * a), rtol=1e-9,
+                                   atol=1e-12)
 
 
 def test_phi1_modal_apply_consistent():

@@ -212,9 +212,8 @@ def test_lumped_mass_conserved(small_mesh):
     vol = small_mesh.rest_volumes().sum()
     # each coordinate direction carries the full mass
     assert abs(m.sum() - 3 * rho * vol) < 1e-12 * 3 * rho * vol
-    mm = sd.build_mass_matrix(small_mesh, rho)
-    assert abs(mm.diagonal().sum() - 3 * rho * vol) < 1e-12 * 3 * rho * vol
-    assert mm.nnz == small_mesh.num_dofs  # diagonal (lumped)
+    # one positive mass per dof: the lumped matrix diag(m) is nonsingular
+    assert m.shape == (small_mesh.num_dofs,) and np.all(m > 0)
 
 
 def test_snh_rest_stability():

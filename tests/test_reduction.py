@@ -105,7 +105,7 @@ def test_smw_identity():
     z = rng.standard_normal((n, s))
     rhs = rng.standard_normal(n)
     ref = np.linalg.solve(a + y @ z.T, rhs)
-    got = reduction.smw_solve(a, y, z, rhs)
+    got = reduction.SmwSolver(a, y, z).solve(rhs)
     assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-8
 
 

@@ -396,6 +396,11 @@ def test_import_loads_no_optimize_or_csgraph():
     assert out.stdout.strip() == "[]"
 
 
+def test_all_names_are_attributes():
+    """softdyn.__all__ is kept by hand: each name in it must exist."""
+    assert [n for n in sd.__all__ if not hasattr(sd, n)] == []
+
+
 _SPLU = spla.splu
 
 

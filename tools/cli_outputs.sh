@@ -69,7 +69,8 @@ PY
 softdyn eigs --scene "$out/beam16/beam16_scene.json" --s 10 \
     --out "$out/eigs_beam16"
 # The beam scene under the Newton stages of TR-BDF2, the labelled SMW stage
-# 2 of STR-SBDF2ERE and the modal Newton SMW stage of BDF2ERE.
+# 2 of STR-SBDF2ERE and the modal Newton SMW stage of BDF2ERE; then with
+# the linear material, under the scene's SIERE and under TR-BDF2.
 mkdir -p "$out/beam_methods"
 python3 - "$out/beam_methods" <<'PY'
 import json
@@ -81,14 +82,23 @@ out = sys.argv[1]
 shutil.copy("demos/assets/beam.mesh", out)
 with open("demos/assets/beam_scene.json") as f:
     scene = json.load(f)
-for method in ("TRBDF2", "STRSBDF2ERE", "BDF2ERE"):
+
+
+def write(name, method):
     scene["stepper"]["method"] = method
-    with open(os.path.join(out, f"{method}_scene.json"), "w") as f:
+    with open(os.path.join(out, f"{name}_scene.json"), "w") as f:
         json.dump(scene, f, indent=2)
+
+
+for method in ("TRBDF2", "STRSBDF2ERE", "BDF2ERE"):
+    write(method, method)
+scene["material"]["model"] = "linear"
+for method in ("SIERE", "TRBDF2"):
+    write(f"linear_{method}", method)
 PY
-for method in TRBDF2 STRSBDF2ERE BDF2ERE; do
-    softdyn simulate --scene "$out/beam_methods/${method}_scene.json" \
-        --out "$out/beam_$method"
+for name in TRBDF2 STRSBDF2ERE BDF2ERE linear_SIERE linear_TRBDF2; do
+    softdyn simulate --scene "$out/beam_methods/${name}_scene.json" \
+        --out "$out/beam_$name"
 done
 with_stderr "$out/incline_stderr.txt" python3 demos/block_on_incline_demo.py \
     > "$out/incline_stdout.txt"
