@@ -4,6 +4,7 @@ frame-producing run loop with CSV-friendly diagnostics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,12 +18,13 @@ from .system import SimState
 METHODS = {
     **steppers.METHODS,
     Method.ERE: MethodEntry(expo.ere_step),
-    Method.SIERE: MethodEntry(reduction.siere_step, modal=True),
+    Method.SIERE: MethodEntry(partial(reduction.beere_step, cfg=None),
+                              modal=True),
     Method.BEERE: MethodEntry(reduction.beere_step, modal=True, newton=True),
     Method.BDF2ERE: MethodEntry(reduction.bdf2ere_step, history=2,
                                 modal=True, newton=True),
-    Method.SBDF2ERE: MethodEntry(reduction.sbdf2ere_step, history=2,
-                                 modal=True),
+    Method.SBDF2ERE: MethodEntry(partial(reduction.bdf2ere_step, cfg=None),
+                                 history=2, modal=True),
     Method.STRSBDF2ERE: MethodEntry(reduction.strsbdf2ere_step, modal=True),
 }
 

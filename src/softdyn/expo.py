@@ -74,11 +74,11 @@ def phi1_action_krylov(j, w, h, m=DEFAULT_KRYLOV_DIM, tol=DEFAULT_KRYLOV_TOL):
     return beta * h * (v[:k].T @ y)
 
 
-def ere_step(model, u0, h, m=DEFAULT_KRYLOV_DIM, tol=DEFAULT_KRYLOV_TOL):
+def ere_step(model, u0, h):
     """Exponential Rosenbrock-Euler: one Jacobian, no nonlinear solve."""
     f0 = model.eval_F(u0)
     j = model.eval_J(u0)
-    return u0 + phi1_action_krylov(j, f0, h, m=m, tol=tol)
+    return u0 + phi1_action_krylov(j, f0, h)
 
 
 def _modal_pieces(lambdas, h):

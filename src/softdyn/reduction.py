@@ -182,14 +182,13 @@ class SmwSolver:
     for diagnostics.
     """
 
-    def __init__(self, a, y=None, z=None):
+    def __init__(self, a, y, z):
         self.n_solves = 0
         self._solve_a = _factorize(a)
-        self.y = y if y is not None and y.size else None
-        self.z = z if z is not None and z.size else None
-        if self.y is not None:
-            self._ainv_y = self._solve_a(self.y)
-            cap = np.eye(self.y.shape[1]) + self.z.T @ self._ainv_y
+        self.z = z if y.size else None  # s = 0: A alone
+        if self.z is not None:
+            self._ainv_y = self._solve_a(y)
+            cap = np.eye(y.shape[1]) + z.T @ self._ainv_y
             try:
                 self._cap_lu = scipy.linalg.lu_factor(cap)
             except scipy.linalg.LinAlgError as exc:
@@ -200,7 +199,7 @@ class SmwSolver:
     def solve(self, rhs):
         self.n_solves += 1
         x = self._solve_a(rhs)
-        if self.y is None:
+        if self.z is None:
             return x
         w = scipy.linalg.lu_solve(self._cap_lu, self.z.T @ x)
         return x - self._ainv_y @ w
@@ -258,20 +257,10 @@ def beere_step(model, u0, h, ms: ModalSplit, cfg=NewtonConfig(), diag=None):
     return _h_implicit(model, u0, None, h, ms, cfg, diag)
 
 
-def siere_step(model, u0, h, ms: ModalSplit, diag=None):
-    """SIERE: one Newton iteration of BEERE from u0, one SMW solve."""
-    return _h_implicit(model, u0, None, h, ms, None, diag)
-
-
 def bdf2ere_step(model, u0, um1, h, ms: ModalSplit, cfg=NewtonConfig(),
                  diag=None):
     """BDF2ERE: ERE on the modal part, BDF2 in H; cfg=None gives SBDF2ERE."""
     return _h_implicit(model, u0, um1, h, ms, cfg, diag)
-
-
-def sbdf2ere_step(model, u0, um1, h, ms: ModalSplit, diag=None):
-    """SBDF2ERE: one Newton iteration of BDF2ERE from u0, one SMW solve."""
-    return _h_implicit(model, u0, um1, h, ms, None, diag)
 
 
 def _exp_g_apply(model, ms: ModalSplit, c, w):
@@ -283,8 +272,7 @@ def _exp_g_apply(model, ms: ModalSplit, c, w):
     return w + _prolong(ms, zq - yq, zv - yv)
 
 
-def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None,
-                     return_stage=False):
+def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None):
     """STR-SBDF2ERE: semi-implicit TR-BDF2 on the complement, exact modal
     exponential on the subspace.
 
@@ -310,4 +298,4 @@ def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None,
                       u_half, None, stage=2)
     if diag is not None:
         diag["smw_solves"] = 2  # one solve per stage
-    return (u1, u_half) if return_stage else u1
+    return u1

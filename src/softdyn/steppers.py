@@ -1,7 +1,7 @@
 """Difference time steppers: BE, SI, TR, BDF2, TR-BDF2, SDIRK and their
 semi-implicit 'S' variants, plus the simplified Newton solver of their
-stages. A semi-implicit method is its implicit twin in one-iteration mode
-(cfg=None).
+stages. A semi-implicit method is its implicit twin in one-iteration mode:
+its table row is ``partial(twin, cfg=None)``.
 
 Steppers act on any system exposing ``eval_F(u)`` and ``eval_J(u)`` (J may
 be dense or sparse). Every implicit stage solves with I - cJ through one
@@ -19,6 +19,7 @@ import enum
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +29,7 @@ import scipy.sparse.linalg as spla
 SDIRK_GAMMA = 2.0 - np.sqrt(2.0)
 SDIRK_BETA = np.sqrt(2.0) / 4.0
 
-# A semi-implicit step that inflates ||F|| by more than this gets flagged.
+# A one-iteration stage that inflates its residual by more than this warns.
 DIVERGENCE_FACTOR = 1e6
 # Newton's line search halves the step at most this many times.
 MAX_HALVINGS = 30
@@ -57,12 +58,13 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class MethodEntry:
-    """One row of the method table, as data. The public step function
-    ``fn`` takes ``(model, u0, [um1,] h, [split,] [newton,] [diag])``: the
-    previous state ``um1`` when ``history`` is 2, the ModalSplit ``split``
-    and the counts dict ``diag`` when ``modal``, and the NewtonConfig
-    ``newton`` when ``newton``; a Newton row that is not modal also takes
-    the factor store ``factors`` as a keyword."""
+    """One row of the method table, as data. The step function ``fn``
+    takes ``(model, u0, [um1,] h, [split,] [newton])``: the previous state
+    ``um1`` when ``history`` is 2, the ModalSplit ``split`` when ``modal``
+    and the NewtonConfig ``newton`` when ``newton``. A modal row also takes
+    the counts dict ``diag`` and a Newton row that is not modal the factor
+    store ``factors``, both as keywords. A semi-implicit row's ``fn`` is
+    ``partial(twin, cfg=None)``."""
 
     fn: Callable
     history: int = 1
@@ -74,8 +76,9 @@ class MethodEntry:
         args = [model, u0, um1, h] if self.history == 2 else [model, u0, h]
         args += [split] if self.modal else []
         args += [newton] if self.newton else []
-        args += [diag] if self.modal else []
-        if self.newton and not self.modal:
+        if self.modal:
+            return self.fn(*args, diag=diag)
+        if self.newton:
             return self.fn(*args, factors=factors)
         return self.fn(*args)
 
@@ -193,7 +196,9 @@ def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None,
                  stage=None, solve=None):
     """Solve residual_fn(u) = 0 from guess: Newton under cfg, starting from
     the factored solve ``solve`` if given, or with cfg None one undamped
-    Newton iteration (one factorization and solve). A StepFailure raised
+    Newton iteration (one factorization and solve), which warns when it
+    inflates the residual g at the guess by over DIVERGENCE_FACTOR; g = 0
+    gives no scale, and then nothing is compared. A StepFailure raised
     here or by Newton carries the label stage."""
     if cfg is not None:
         try:
@@ -202,13 +207,18 @@ def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None,
             exc.stage = stage
             raise
     g = residual_fn(guess)
+    gnorm = np.linalg.norm(g)
     try:
         u1 = guess - _factorize(jacobian_fn(guess))(g)
         if not np.all(np.isfinite(u1)):
             raise np.linalg.LinAlgError("non-finite state")
     except (RuntimeError, np.linalg.LinAlgError) as exc:
-        raise StepFailure(f"semi-implicit solve failed: {exc}", guess,
-                          np.linalg.norm(g), stage) from exc
+        raise StepFailure(f"semi-implicit solve failed: {exc}", guess, gnorm,
+                          stage) from exc
+    if gnorm > 0.0 and (np.linalg.norm(residual_fn(u1))
+                        > DIVERGENCE_FACTOR * gnorm):
+        warnings.warn("semi-implicit stage increased its residual by > 1e6, "
+                      "possible divergence", stacklevel=2)
     return u1
 
 
@@ -228,29 +238,10 @@ def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None,
                         None if factors is None else factors.get(coeff_h))
 
 
-def _divergence_guard(model, u0, step):
-    """u1 = step(); warns when the step inflated ||F|| by over
-    DIVERGENCE_FACTOR. ||F(u0)|| is taken first, where the model's memo
-    of u0's elastic force still serves the step's own F(u0). F(u0) = 0
-    gives no scale, and then nothing is compared."""
-    f0 = np.linalg.norm(model.eval_F(u0))
-    u1 = step()
-    f1 = np.linalg.norm(model.eval_F(u1))
-    if f0 > 0.0 and f1 > DIVERGENCE_FACTOR * f0:
-        warnings.warn("semi-implicit step increased ||F|| by > 1e6, "
-                      "possible divergence", stacklevel=3)
-    return u1
-
-
 def step_be(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
             factors=None):
     """Backward Euler: u1 = u0 + h F(u1); cfg=None gives SI."""
     return _implicit_stage(model, u0, h, u0, cfg, factors=factors)
-
-
-def step_si(model, u0, h):
-    """Semi-implicit BE: one Newton iteration of step_be from u0."""
-    return _divergence_guard(model, u0, lambda: step_be(model, u0, h, None))
 
 
 def _tr_stage(model, u0, c, cfg, stage=None, factors=None):
@@ -259,11 +250,11 @@ def _tr_stage(model, u0, c, cfg, stage=None, factors=None):
                            factors)
 
 
-def _two_stage(model, u0, c1, w, c2, cfg, return_stage, factors):
+def _two_stage(model, u0, c1, w, c2, cfg, factors):
     """TR stage U of width 2 c1, then u1 = u0 + w (U - u0) + c2 F(u1)."""
     u_s = _tr_stage(model, u0, c1, cfg, 1, factors)
-    u1 = _implicit_stage(model, u0 + w * (u_s - u0), c2, u_s, cfg, 2, factors)
-    return (u1, u_s) if return_stage else u1
+    return _implicit_stage(model, u0 + w * (u_s - u0), c2, u_s, cfg, 2,
+                           factors)
 
 
 def step_tr(model, u0, h, cfg: NewtonConfig = NewtonConfig(), factors=None):
@@ -279,53 +270,34 @@ def step_bdf2(model, u0, um1, h, cfg: NewtonConfig | None = NewtonConfig(),
                            factors=factors)
 
 
-def step_sbdf2(model, u0, um1, h):
-    """Semi-implicit BDF2: one Newton iteration of step_bdf2 from u0."""
-    return _divergence_guard(model, u0,
-                             lambda: step_bdf2(model, u0, um1, h, None))
-
-
 def step_trbdf2(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
-                return_stage=False, factors=None):
+                factors=None):
     """TR-BDF2: TR to the midpoint, then BDF2; cfg=None gives STR-BDF2."""
-    return _two_stage(model, u0, 0.25 * h, 4.0 / 3.0, h / 3.0, cfg,
-                      return_stage, factors)
-
-
-def step_strbdf2(model, u0, h):
-    """Semi-implicit TR-BDF2: one Newton iteration per stage of step_trbdf2."""
-    return _divergence_guard(model, u0,
-                             lambda: step_trbdf2(model, u0, h, None))
+    return _two_stage(model, u0, 0.25 * h, 4.0 / 3.0, h / 3.0, cfg, factors)
 
 
 def step_sdirk(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),
-               return_stage=False, factors=None):
+               factors=None):
     """Two-stage SDIRK, gamma = 2 - sqrt(2); cfg=None gives SSDIRK. Both
     stages have the coefficient gamma h / 2, so with a store stage 2
     starts from stage 1's factor."""
     g, b = SDIRK_GAMMA, SDIRK_BETA
     return _two_stage(model, u0, 0.5 * g * h, 2.0 * b / g, 0.5 * g * h, cfg,
-                      return_stage, factors)
-
-
-def step_ssdirk(model, u0, h):
-    """Semi-implicit SDIRK: one Newton iteration per stage of step_sdirk."""
-    return _divergence_guard(model, u0,
-                             lambda: step_sdirk(model, u0, h, None))
+                      factors)
 
 
 # The difference methods. driver.METHODS adds the exponential and modal
 # ones; no other place lists method names.
 METHODS = {
     Method.BE: MethodEntry(step_be, newton=True),
-    Method.SI: MethodEntry(step_si),
+    Method.SI: MethodEntry(partial(step_be, cfg=None)),
     Method.TR: MethodEntry(step_tr, newton=True),
     Method.BDF2: MethodEntry(step_bdf2, history=2, newton=True),
-    Method.SBDF2: MethodEntry(step_sbdf2, history=2),
+    Method.SBDF2: MethodEntry(partial(step_bdf2, cfg=None), history=2),
     Method.TRBDF2: MethodEntry(step_trbdf2, newton=True),
-    Method.STRBDF2: MethodEntry(step_strbdf2),
+    Method.STRBDF2: MethodEntry(partial(step_trbdf2, cfg=None)),
     Method.SDIRK: MethodEntry(step_sdirk, newton=True),
-    Method.SSDIRK: MethodEntry(step_ssdirk),
+    Method.SSDIRK: MethodEntry(partial(step_sdirk, cfg=None)),
 }
 
 

@@ -17,28 +17,29 @@ H = 0.01
 CFG = NewtonConfig()
 
 # Each method's public step function, called directly: (model, u0, um1,
-# split) -> u1. SDIRK's two stages share one coefficient, so in a fresh
-# Advancer stage 2 starts from stage 1's factor; the direct call gets a
-# fresh store too.
+# split) -> u1; a semi-implicit method is its twin with cfg=None. SDIRK's
+# two stages share one coefficient, so in a fresh Advancer stage 2 starts
+# from stage 1's factor; the direct call gets a fresh store too.
 DIRECT = {
     Method.BE: lambda m, u, um1, ms: steppers.step_be(m, u, H, CFG),
-    Method.SI: lambda m, u, um1, ms: steppers.step_si(m, u, H),
+    Method.SI: lambda m, u, um1, ms: steppers.step_be(m, u, H, None),
     Method.TR: lambda m, u, um1, ms: steppers.step_tr(m, u, H, CFG),
     Method.BDF2: lambda m, u, um1, ms: steppers.step_bdf2(m, u, um1, H, CFG),
-    Method.SBDF2: lambda m, u, um1, ms: steppers.step_sbdf2(m, u, um1, H),
+    Method.SBDF2: lambda m, u, um1, ms: steppers.step_bdf2(m, u, um1, H, None),
     Method.TRBDF2: lambda m, u, um1, ms: steppers.step_trbdf2(m, u, H, CFG),
-    Method.STRBDF2: lambda m, u, um1, ms: steppers.step_strbdf2(m, u, H),
+    Method.STRBDF2: lambda m, u, um1, ms: steppers.step_trbdf2(m, u, H, None),
     Method.SDIRK:
         lambda m, u, um1, ms: steppers.step_sdirk(m, u, H, CFG, factors={}),
-    Method.SSDIRK: lambda m, u, um1, ms: steppers.step_ssdirk(m, u, H),
+    Method.SSDIRK: lambda m, u, um1, ms: steppers.step_sdirk(m, u, H, None),
     Method.ERE: lambda m, u, um1, ms: expo.ere_step(m, u, H),
-    Method.SIERE: lambda m, u, um1, ms: reduction.siere_step(m, u, H, ms),
+    Method.SIERE:
+        lambda m, u, um1, ms: reduction.beere_step(m, u, H, ms, None),
     Method.BEERE:
         lambda m, u, um1, ms: reduction.beere_step(m, u, H, ms, CFG),
     Method.BDF2ERE:
         lambda m, u, um1, ms: reduction.bdf2ere_step(m, u, um1, H, ms, CFG),
     Method.SBDF2ERE:
-        lambda m, u, um1, ms: reduction.sbdf2ere_step(m, u, um1, H, ms),
+        lambda m, u, um1, ms: reduction.bdf2ere_step(m, u, um1, H, ms, None),
     Method.STRSBDF2ERE:
         lambda m, u, um1, ms: reduction.strsbdf2ere_step(m, u, H, ms),
 }

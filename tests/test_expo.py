@@ -93,7 +93,7 @@ def test_ere_exact_on_linear():
     m = LinearModel([[0.0, 1.0], [-40.0, -0.3]], [0.0, 2.0])
     u0 = np.array([0.4, -0.1])
     for h in (0.01, 0.1, 1.0):
-        got = expo.ere_step(m, u0, h, m=2 + 1)
+        got = expo.ere_step(m, u0, h)
         ref = m.exact(u0, h)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-8
 

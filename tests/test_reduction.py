@@ -132,8 +132,8 @@ def test_siere_s0_equals_si():
     u = _rest_u(model)
     ms = reduction.modal_split(model, u, 0)
     h = 0.01
-    u_red = reduction.siere_step(model, u, h, ms)
-    u_si = steppers.step_si(model, u, h)
+    u_red = reduction.beere_step(model, u, h, ms, None)
+    u_si = steppers.step_be(model, u, h, None)
     assert np.linalg.norm(u_red - u_si) < 1e-10 * max(1.0, np.linalg.norm(u_si))
 
 
@@ -144,7 +144,7 @@ def test_siere_full_subspace_equals_ere():
     nfree = int(model.free.sum())
     ms = reduction.modal_split(model, u, nfree)
     h = 0.01
-    u_red = reduction.siere_step(model, u, h, ms)
+    u_red = reduction.beere_step(model, u, h, ms, None)
     j = model.eval_J(u).toarray()
     ref = u + h * (expo.phi1_dense(h * j) @ model.eval_F(u))
     assert np.linalg.norm(u_red - ref) < 1e-10 * max(1.0, np.linalg.norm(ref))
@@ -182,7 +182,7 @@ def test_sbdf2ere_close_to_bdf2ere_nonlinear():
     um1 = u0.copy()
     ms = reduction.modal_split(model, u0, 4)
     h = 0.01
-    semi = reduction.sbdf2ere_step(model, u0, um1, h, ms)
+    semi = reduction.bdf2ere_step(model, u0, um1, h, ms, None)
     full = reduction.bdf2ere_step(model, u0, um1, h, ms,
                                   steppers.NewtonConfig(abs_tol=1e-13))
     assert (np.linalg.norm(semi - full)
@@ -200,7 +200,7 @@ def test_reduction_steppers_exact_on_linear_modes():
     amp = 1e-4
     u0[:model.ndof] += amp * ms.x[:, 0]
     h = 0.05  # several periods of nothing for the stiff rest
-    u1 = reduction.siere_step(model, u0, h, ms)
+    u1 = reduction.beere_step(model, u0, h, ms, None)
     w = np.sqrt(ms.lam[0])
     qa = amp * np.cos(w * h)
     va = -amp * w * np.sin(w * h)
@@ -232,17 +232,6 @@ def test_strsbdf2ere_s0_is_semi_implicit_trbdf2():
     assert np.linalg.norm(got - ref) < 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
-def test_strsbdf2ere_stage_exposed():
-    model = _model()
-    u0 = _rest_u(model)
-    ms = reduction.modal_split(model, u0, 2)
-    u1, u_half = reduction.strsbdf2ere_step(model, u0, 0.01, ms,
-                                            return_stage=True)
-    u1b = reduction.strsbdf2ere_step(model, u0, 0.01, ms)
-    np.testing.assert_allclose(u1, u1b)
-    assert u_half.shape == u0.shape
-
-
 class _TwoModes:
     """Unit-mass oscillators q'' = -k q, k = diag(1, -16/h^2): stage 1 of
     STR-SBDF2ERE, I - (h/4) J, is exactly singular on the second mode."""
@@ -262,6 +251,41 @@ class _TwoModes:
 
     def eval_J(self, u):
         return spsp.csr_matrix(self.j) if self.sparse else self.j
+
+
+class _ExplodingSplit:
+    """F(u) = 1e9 (u - p) on two unit-mass dofs with a useless (zero)
+    Jacobian, so that a one-iteration stage blows its residual up; the
+    split keeps the first dof."""
+
+    ndof = 2
+    mass = np.ones(2)
+    q_rest = np.zeros(2)
+    p = np.array([1.0, 1.0, 0.0, 0.0])
+    split = reduction.ModalSplit(np.eye(2)[:, :1], np.ones(1))
+
+    def eval_F(self, u):
+        return 1e9 * (u - self.p)
+
+    def eval_J(self, u):
+        return np.zeros((4, 4))
+
+
+def test_siere_divergence_warns():
+    model = _ExplodingSplit()
+    with pytest.warns(UserWarning, match="divergence"):
+        sd.METHODS[Method.SIERE].step(model, np.zeros(4), None, 1.0, None,
+                                      model.split, {})
+
+
+def test_strsbdf2ere_stage_2_divergence_warns():
+    # F(p) = 0 gives stage 1 a zero residual at its guess, so only the
+    # labelled stage 2, whose guess p has a modal part, is checked and warns
+    model = _ExplodingSplit()
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        reduction.strsbdf2ere_step(model, model.p, 1.0, model.split)
+    assert len(rec) == 1 and "divergence" in str(rec[0].message)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])

@@ -149,9 +149,10 @@ def test_stiffness_assembled_once_per_eval_J(beam, rng, monkeypatch, rayleigh):
                                            ("STRBDF2", 3), ("SSDIRK", 3)])
 def test_divergence_guard_reuses_force_at_u0(model, rng, monkeypatch,
                                              method, calls):
-    """The guard takes ||F(u0)|| before the step, so the step's own F(u0)
-    and the guard share one elastic force: one call per distinct
-    configuration (u0, each stage, u1)."""
+    """Each one-iteration stage checks its residual at its new iterate,
+    and the next stage's (or step's) residual there takes that force from
+    the model's memo: one elastic force call per distinct configuration
+    (u0, each stage, u1)."""
     log = []
     force = sd.fem.elastic_force
     monkeypatch.setattr(sd.fem, "elastic_force",
@@ -429,7 +430,7 @@ def test_superlu_errors_raise_step_failure(model, rng, monkeypatch):
     with pytest.raises(steppers.StepFailure, match="linear solve failed"):
         reduction.beere_step(model, u0, 0.01, ms)
     with pytest.raises(steppers.StepFailure) as ei:
-        steppers.step_strbdf2(model, u0, 0.01)
+        steppers.step_trbdf2(model, u0, 0.01, None)
     assert ei.value.stage == 1
     _failing_splu(monkeypatch, fail_from=1)  # stage 1 factors, SMW fails
     with pytest.raises(steppers.StepFailure) as ei:

@@ -7,10 +7,10 @@
 # REPO is the root of a softdyn checkout (its src/ goes on PYTHONPATH) and
 # OUT a directory to fill. BLAS and OpenMP run on one thread, since the
 # thread count can move dense linear algebra at rounding. The stderr of
-# the block_drop simulation, damping-curves, convergence and the incline
-# demo is kept, so that a warning (such as a clamped contact gap) shows up
-# in the comparison; warnings print absolute source paths, so REPO is
-# replaced by the token REPO there.
+# every simulation, damping-curves, convergence and the incline demo is
+# kept, so that a warning (such as a clamped contact gap or a diverging
+# semi-implicit stage) shows up in the comparison; warnings print absolute
+# source paths, so REPO is replaced by the token REPO there.
 set -eu
 if [ $# -ne 2 ]; then
     echo "usage: $0 REPO OUT" >&2
@@ -38,7 +38,8 @@ with_stderr() {
 
 with_stderr "$out/block_drop_stderr.txt" softdyn simulate \
     --scene demos/assets/block_drop.json --out "$out/block_drop"
-softdyn simulate --scene demos/assets/beam_scene.json --out "$out/beam"
+with_stderr "$out/beam_stderr.txt" softdyn simulate \
+    --scene demos/assets/beam_scene.json --out "$out/beam"
 with_stderr "$out/damping_stderr.txt" softdyn damping-curves \
     --methods BE,SI,TR,BDF2,SBDF2,TRBDF2,STRBDF2,SDIRK,SSDIRK,ERE \
     --out "$out/damping"
@@ -97,8 +98,8 @@ for method in ("SIERE", "TRBDF2"):
     write(f"linear_{method}", method)
 PY
 for name in TRBDF2 STRSBDF2ERE BDF2ERE linear_SIERE linear_TRBDF2; do
-    softdyn simulate --scene "$out/beam_methods/${name}_scene.json" \
-        --out "$out/beam_$name"
+    with_stderr "$out/beam_${name}_stderr.txt" softdyn simulate \
+        --scene "$out/beam_methods/${name}_scene.json" --out "$out/beam_$name"
 done
 with_stderr "$out/incline_stderr.txt" python3 demos/block_on_incline_demo.py \
     > "$out/incline_stdout.txt"
