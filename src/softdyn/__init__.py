@@ -9,7 +9,7 @@ from .contact import HalfSpace, Sphere, ContactConfig
 from .system import SimState, ForceModel, state_energy
 from .steppers import Method, NewtonConfig, StepFailure, newton_solve, \
     bootstrap_history
-from .expo import phi1_dense, phi1_action_krylov, phi1_modal, ere_step
+from .expo import phi1_dense, phi1_action_krylov, ere_step
 from .reduction import RefreshPolicy, ModalSplit, smallest_eigpairs, \
     modal_split, SmwSolver
 from .analysis import DampingCurve, EnergyReport, amplification, \
@@ -17,7 +17,7 @@ from .analysis import DampingCurve, EnergyReport, amplification, \
     stability_function, energy_report, convergence_order
 from .driver import Advancer, ReductionConfig, run_simulation, METHODS
 from .scenes import SceneError, SceneConfig, parse_scene, load_scene, \
-    scene_to_dict, build_model
+    build_model
 
 __version__ = "0.1.0"
 
@@ -30,13 +30,12 @@ __all__ = [
     "SimState", "ForceModel", "state_energy",
     "Method", "NewtonConfig", "StepFailure",
     "newton_solve", "bootstrap_history",
-    "phi1_dense", "phi1_action_krylov", "phi1_modal", "ere_step",
+    "phi1_dense", "phi1_action_krylov", "ere_step",
     "RefreshPolicy", "ModalSplit", "smallest_eigpairs", "modal_split",
     "SmwSolver",
     "DampingCurve", "EnergyReport", "amplification", "spectral_radius",
     "damping_coefficient", "damping_curve", "stability_function",
     "energy_report", "convergence_order",
     "Advancer", "ReductionConfig", "run_simulation", "METHODS",
-    "SceneError", "SceneConfig", "parse_scene", "load_scene",
-    "scene_to_dict", "build_model",
+    "SceneError", "SceneConfig", "parse_scene", "load_scene", "build_model",
 ]

@@ -4,15 +4,17 @@ Contacts are vertex-vs-surface only. The barrier has compact support
 [0, delta]; friction follows the maximum dissipation principle with a C1
 pre-sliding ramp below speed epsilon.
 
-Every kernel works on whole arrays of contacts, with no per-contact loop:
-a ContactSet holds n_c contacts as (n_c,) and (n_c, 3) arrays, and the
-sparse matrices are assembled from (n_c, 3, 3) per-vertex blocks.
+Every kernel works on whole arrays of contacts, with no per-contact loop.
+A ContactSet holds n_c contacts as (n_c, ...) arrays, together with the
+terms that depend on q alone: the normal forces lambda and the tangent
+frames T, computed once when the set is. The Jacobian kernels return
+(n_c, 3, 3) per-contact blocks, which the caller sums at their vertices.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,13 +94,16 @@ class ContactConfig:
 
 @dataclass
 class ContactSet:
-    """Active contacts: pairs (vertex, surface) with gap < delta."""
+    """Active contacts: pairs (vertex, surface) with gap < delta, and the
+    terms that depend on q alone, computed once per set."""
 
     vertices: np.ndarray          # (n_c,) vertex indices
     surfaces: np.ndarray          # (n_c,) surface indices
     gaps: np.ndarray              # (n_c,) signed gaps as detected
     normals: np.ndarray           # (n_c, 3) distance gradients at the vertex
-    penetrating: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
+    lam: np.ndarray               # (n_c,) normal forces -kappa b'(d)
+    frames: np.ndarray            # (n_c, 3, 2) tangent frames T
+    penetrating: np.ndarray       # (n_c,) gap <= 0, clamped by the barrier
 
     @property
     def count(self):
@@ -116,15 +121,16 @@ def active_set(mesh, cfg: ContactConfig, q) -> ContactSet:
     gaps = np.reshape([s.distance(pts) for s in cfg.surfaces], -1)
     normals = np.reshape([s.gradient(pts) for s in cfg.surfaces], (-1, 3))
     keep = gaps < cfg.delta
-    gaps = gaps[keep]
+    gaps, normals = gaps[keep], normals[keep]
     pen = gaps <= 0
     if pen.any():
         warnings.warn(f"{int(pen.sum())} penetrating contact(s), gap clamped",
                       stacklevel=2)
     ns = len(cfg.surfaces)
     return ContactSet(np.tile(mesh.surface_vertices, ns)[keep],
-                      np.repeat(np.arange(ns), len(pts))[keep], gaps,
-                      normals[keep], pen)
+                      np.repeat(np.arange(ns), len(pts))[keep], gaps, normals,
+                      contact_lambda(gaps, cfg),
+                      np.stack(_tangent_frame(normals), -1), pen)
 
 
 def barrier_value(x, delta):
@@ -157,49 +163,43 @@ def barrier_hess(x, delta):
     return out if out.ndim else float(out)
 
 
-def contact_lambda(cs: ContactSet, cfg: ContactConfig):
-    """Per-contact normal force magnitudes lambda = -kappa * b'(d), (n_c,)."""
-    return -cfg.kappa * barrier_grad(cs.gaps, cfg.delta)
-
-
-def _vertex_blocks(mesh, vertices, blocks) -> sp.csr_matrix:
-    """(3*nv, 3*nv) CSR summing (n_c, 3, 3) blocks at their vertices' dofs;
-    triplets run block by block, row-major within a block."""
-    n = mesh.num_dofs
-    idx = 3 * np.asarray(vertices)[:, None] + np.arange(3)
-    rows, cols = np.repeat(idx, 3, axis=1), np.tile(idx, 3)
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n, n)).tocsr()
+def contact_lambda(gaps, cfg: ContactConfig):
+    """Normal force magnitudes lambda = -kappa * b'(d) of gaps (n_c,)."""
+    return -cfg.kappa * barrier_grad(gaps, cfg.delta)
 
 
 def contact_force(mesh, cs: ContactSet, cfg: ContactConfig, q):
     """f_c = -grad_q [kappa * sum b(d)] as a flat (3*nv,) vector."""
     f = np.zeros(mesh.num_dofs)
-    np.add.at(f.reshape(-1, 3), cs.vertices,
-              contact_lambda(cs, cfg)[:, None] * cs.normals)
+    np.add.at(f.reshape(-1, 3), cs.vertices, cs.lam[:, None] * cs.normals)
     return f
 
 
-def contact_stiffness(mesh, cs: ContactSet, cfg: ContactConfig, q) -> sp.csr_matrix:
-    """d f_c / d q (symmetric, <= 0 definite blocks per contact)."""
+def contact_stiffness(cs: ContactSet, cfg: ContactConfig, q):
+    """d f_c / d q as per-contact blocks (n_c, 3, 3) (symmetric, <= 0
+    definite), each acting at its vertex."""
     pos = np.asarray(q, dtype=float).reshape(-1, 3)
-    lam = contact_lambda(cs, cfg)
     blocks = ((-cfg.kappa * barrier_hess(cs.gaps, cfg.delta))[:, None, None]
               * (cs.normals[:, :, None] * cs.normals[:, None, :]))
     for si, surf in enumerate(cfg.surfaces):
         on = cs.surfaces == si
-        blocks[on] += lam[on, None, None] * surf.hessian(pos[cs.vertices[on]])
-    return _vertex_blocks(mesh, cs.vertices, blocks)
+        blocks[on] += cs.lam[on, None, None] * surf.hessian(pos[cs.vertices[on]])
+    return blocks
+
+
+def _cross(a, b):
+    """a x b over the last axis, component by component as np.cross forms it."""
+    a1, a2, a3, b1, b2, b3 = (x[..., i] for x in (a, b) for i in range(3))
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], -1)
 
 
 def _tangent_frame(n):
     """Deterministic orthonormal tangent pair (t1, t2) for unit normals (..., 3)."""
     n = np.asarray(n, dtype=float)
-    a = np.zeros_like(n)
-    np.put_along_axis(a, np.argmin(np.abs(n), axis=-1)[..., None], 1.0, axis=-1)
-    t1 = np.cross(n, a)
+    a = (np.argmin(np.abs(n), axis=-1)[..., None] == np.arange(3)).astype(float)
+    t1 = _cross(n, a)
     t1 /= _norm(t1)[..., None]
-    return t1, np.cross(n, t1)
+    return t1, _cross(n, t1)
 
 
 def contact_jacobian(mesh, cs: ContactSet, q):
@@ -217,7 +217,7 @@ def contact_jacobian(mesh, cs: ContactSet, q):
     bn = np.zeros((3 * nc, nc))
     bn.reshape(nc, 3, nc)[c, :, c] = cs.normals
     bt = np.zeros((3 * nc, 2 * nc))
-    bt.reshape(nc, 3, nc, 2)[c, :, c] = np.stack(_tangent_frame(cs.normals), -1)
+    bt.reshape(nc, 3, nc, 2)[c, :, c] = cs.frames
     return jc, bn, bt
 
 
@@ -251,12 +251,10 @@ def _eta_jacobian(vbar, eps):
                     np.where(nv >= eps, p / nvs, slow))
 
 
-def _slip(cs: ContactSet, cfg: ContactConfig, v):
-    """Frames T (n_c, 3, 2), normal forces (n_c,) and slips T_i^T v_i (n_c, 2)."""
-    t = np.stack(_tangent_frame(cs.normals), -1)
+def _slip(cs: ContactSet, v):
+    """Slips T_i^T v_i (n_c, 2)."""
     vc = np.asarray(v, dtype=float).reshape(-1, 3)[cs.vertices]
-    vbar = (np.swapaxes(t, 1, 2) @ vc[:, :, None])[..., 0]
-    return t, contact_lambda(cs, cfg), vbar
+    return (np.swapaxes(cs.frames, 1, 2) @ vc[:, :, None])[..., 0]
 
 
 def friction_force(mesh, cs: ContactSet, cfg: ContactConfig, q, v):
@@ -264,17 +262,16 @@ def friction_force(mesh, cs: ContactSet, cfg: ContactConfig, q, v):
     f = np.zeros(mesh.num_dofs)
     if cfg.mu == 0.0:
         return f
-    t, lam, vbar = _slip(cs, cfg, v)
-    ft = lam[:, None] * eta_smooth(vbar, cfg.epsilon)
-    np.add.at(f.reshape(-1, 3), cs.vertices, (t @ ft[:, :, None])[..., 0])
+    ft = cs.lam[:, None] * eta_smooth(_slip(cs, v), cfg.epsilon)
+    np.add.at(f.reshape(-1, 3), cs.vertices, (cs.frames @ ft[:, :, None])[..., 0])
     return -cfg.mu * f
 
 
-def friction_velocity_jacobian(mesh, cs: ContactSet, cfg: ContactConfig, q, v):
-    """d f_f / d v (the only friction derivative kept in Jacobians): contact i
-    adds -mu T_i (lambda_i D eta_i) T_i^T at its vertex."""
-    if cfg.mu == 0.0:
-        return sp.csr_matrix((mesh.num_dofs, mesh.num_dofs))
-    t, lam, vbar = _slip(cs, cfg, v)
-    d = lam[:, None, None] * _eta_jacobian(vbar, cfg.epsilon)
-    return -cfg.mu * _vertex_blocks(mesh, cs.vertices, t @ d @ np.swapaxes(t, 1, 2))
+def friction_velocity_jacobian(cs: ContactSet, cfg: ContactConfig, v):
+    """d f_f / d v (the only friction derivative kept in Jacobians) is -mu
+    times the sum, at each contact's vertex, of its block T_i (lambda_i
+    D eta_i) T_i^T; returns these blocks (n_c, 3, 3). Like friction_force,
+    the caller scales by -mu after summing."""
+    t = cs.frames
+    d = cs.lam[:, None, None] * _eta_jacobian(_slip(cs, v), cfg.epsilon)
+    return t @ d @ np.swapaxes(t, 1, 2)

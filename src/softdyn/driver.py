@@ -90,8 +90,7 @@ class Advancer:
             cs = model._contact_set(q1)
             diag["n_contacts"] = cs.count
             diag["min_gap"] = float(cs.gaps.min()) if cs.count else np.nan
-            lam = ct.contact_lambda(cs, model.contact)
-            diag["max_lambda"] = float(lam.max()) if cs.count else 0.0
+            diag["max_lambda"] = float(cs.lam.max()) if cs.count else 0.0
             ff = ct.friction_force(model.mesh, cs, model.contact, q1, v1)
             diag["friction_power"] = float(np.dot(v1, ff))
             diag["gap_clamps"] = model.gap_clamps - clamps

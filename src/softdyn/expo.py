@@ -104,16 +104,6 @@ def _modal_pieces(lambdas, h):
     return lam, c, sn, p
 
 
-def phi1_modal(lambdas, h):
-    """Exact h*phi1(h A_i) for per-mode blocks A_i = [[0, 1], [-lam, 0]].
-
-    Returns (s, 2, 2). Nonnegative lam uses trig, negative lam hyperbolic,
-    lam ~ 0 the series.
-    """
-    lam, _, sn, p = _modal_pieces(lambdas, h)
-    return np.stack([np.stack([sn, p], -1), np.stack([-lam * p, sn], -1)], -2)
-
-
 def exp_modal_apply(lambdas, h, gq, gv):
     """Apply expm(h J_G^r) to the reduced vector (gq, gv): per mode the block
     [[c, sn], [-lam sn, c]] of ``_modal_pieces``."""

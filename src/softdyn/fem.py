@@ -146,13 +146,12 @@ class _ElementData:
         return sp.csc_matrix((data, self.ff_indices, self.ff_indptr),
                              shape=(self.take.size,) * 2)
 
-    def free_blocks(self, mat):
-        """A contact or friction matrix's per-vertex diagonal 3x3 blocks as
-        data on the ordered free block."""
-        coo = mat.tocoo()
-        slot = self.vslot[coo.row // 3, coo.row % 3, coo.col % 3]
+    def vertex_blocks(self, vertices, blocks):
+        """3x3 blocks (k, 3, 3) summed at the diagonal of their vertices, as
+        data on the ordered free block; blocks of fixed vertices drop out."""
+        slot = self.vslot[vertices].reshape(-1)
         keep = slot >= 0
-        return np.bincount(slot[keep], coo.data[keep], self.kmap.size)
+        return np.bincount(slot[keep], blocks.reshape(-1)[keep], self.kmap.size)
 
 
 _CACHE = weakref.WeakKeyDictionary()  # TetMesh -> _ElementData

@@ -164,42 +164,6 @@ def load_scene(path) -> SceneConfig:
     return parse_scene(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def scene_to_dict(sc: SceneConfig) -> dict:
-    """Serialize back to the JSON schema (mesh path as given)."""
-    out = {
-        "mesh": sc.mesh_path,
-        "material": {"model": sc.material.model.value,
-                     "youngs_modulus": sc.material.youngs_modulus,
-                     "poisson_ratio": sc.material.poisson_ratio,
-                     "density": sc.material.density},
-        "rayleigh": {"alpha": sc.rayleigh.alpha, "beta": sc.rayleigh.beta},
-        "gravity": list(sc.gravity),
-        "stepper": {"method": sc.method, "h": sc.h,
-                    "newton": {"max_iters": sc.newton.max_iters,
-                               "abs_tol": sc.newton.abs_tol,
-                               "rel_tol": sc.newton.rel_tol}},
-        "duration": sc.duration,
-        "output_cadence": sc.cadence,
-    }
-    if sc.contact is not None:
-        surfs = []
-        for s in sc.contact.surfaces:
-            if isinstance(s, ct.HalfSpace):
-                surfs.append({"kind": "halfspace", "point": list(s.point),
-                              "normal": list(s.normal)})
-            else:
-                surfs.append({"kind": "sphere", "center": list(s.center),
-                              "radius": s.radius})
-        out["contact"] = {"surfaces": surfs, "delta": sc.contact.delta,
-                          "kappa": sc.contact.kappa, "mu": sc.contact.mu,
-                          "epsilon": sc.contact.epsilon}
-    if sc.reduction is not None:
-        out["reduction"] = {"s": sc.reduction.s,
-                            "refresh": sc.reduction.policy.value,
-                            "every_n": sc.reduction.every_n}
-    return out
-
-
 def build_model(sc: SceneConfig) -> ForceModel:
     mesh = load_mesh(sc.mesh_path)
     return ForceModel(mesh, sc.material, sc.rayleigh, sc.gravity, sc.contact)

@@ -146,7 +146,7 @@ class ForceModel:
 
     def _free_tangents(self, u):
         """(K_eff, D_eff) with contact and friction terms, as data on the
-        mesh's factor pattern; D_eff is None when there is no damping."""
+        mesh's factor pattern; D_eff is None without damping and friction."""
         ed = self._ed
         q, v = np.split(u, 2)
         k = self.stiffness(q).data[ed.kmap]
@@ -155,10 +155,12 @@ class ForceModel:
             d = self.rayleigh.alpha * k
             d[ed.diag] += self.rayleigh.beta * self.mass[ed.take]
         if self.contact is not None:
-            args = self.mesh, self._contact_set(q), self.contact, q
-            k = k - ed.free_blocks(ct.contact_stiffness(*args))
-            df = ed.free_blocks(ct.friction_velocity_jacobian(*args, v))
-            d = -df if d is None else d - df
+            cs, cfg = self._contact_set(q), self.contact
+            k = k - ed.vertex_blocks(cs.vertices, ct.contact_stiffness(cs, cfg, q))
+            if cfg.mu:
+                df = cfg.mu * ed.vertex_blocks(
+                    cs.vertices, ct.friction_velocity_jacobian(cs, cfg, v))
+                d = df if d is None else d + df
         return k, d
 
     def eval_J(self, u) -> sp.csr_matrix:

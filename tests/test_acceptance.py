@@ -439,7 +439,7 @@ def test_criterion_09_contact_and_friction(capsys):
         power_worst = max(power_worst, float(v @ ff))
         jc, _, bt = contact.contact_jacobian(mesh, cs, q)
         t = jc.T @ bt  # tangential force coordinates -> generalized forces
-        lam = contact.contact_lambda(cs, cfg)
+        lam = cs.lam
         fbar = t.T @ ff
         for i in range(cs.count):
             fi = np.linalg.norm(fbar[2 * i:2 * i + 2])

@@ -1,8 +1,10 @@
 """Barrier, contact and friction oracles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import softdyn as sd
@@ -28,8 +30,16 @@ IN_CONTACT = [name for name in SCENES if name != "clear"]
 
 def _one(cs, i):
     """The one-contact set holding contact i of cs."""
-    return ct.ContactSet(cs.vertices[[i]], cs.surfaces[[i]], cs.gaps[[i]],
-                         cs.normals[[i]])
+    return ct.ContactSet(*(getattr(cs, f.name)[[i]] for f in fields(cs)))
+
+
+def _dense(mesh, cs, blocks):
+    """Per-contact blocks (n_c, 3, 3) summed at their vertices into a dense
+    (3 nv, 3 nv) matrix."""
+    nv = mesh.num_vertices
+    out = np.zeros((nv, 3, nv, 3))
+    np.add.at(out, (cs.vertices, slice(None), cs.vertices), blocks)
+    return out.reshape(3 * nv, 3 * nv)
 
 
 def _scene(name, mu=0.0):
@@ -70,9 +80,7 @@ def test_lambda_monotone_positive():
     cfg = ct.ContactConfig((sd.HalfSpace((0, 0, 0), (0, 0, 1)),),
                            DELTA, 50.0, 0.0, 1e-3)
     xs = np.linspace(0.9 * DELTA, 0.05 * DELTA, 40)
-    cs = ct.ContactSet(np.arange(40), np.zeros(40, int), xs,
-                       np.tile([0.0, 0.0, 1.0], (40, 1)))
-    lam = ct.contact_lambda(cs, cfg)
+    lam = ct.contact_lambda(xs, cfg)
     assert np.all(lam > 0)
     assert np.all(np.diff(lam) > 0)  # grows as the gap shrinks
 
@@ -117,7 +125,7 @@ def test_active_set_and_clamp():
     np.testing.assert_allclose(cs2.gaps, -0.001, rtol=1e-12)
     assert cs2.penetrating.all()
     clamped = ct.barrier_grad(np.full(3, ct.GAP_CLAMP_REL * DELTA), DELTA)
-    np.testing.assert_array_equal(ct.contact_lambda(cs2, cfg), -clamped)
+    np.testing.assert_array_equal(cs2.lam, -clamped)
 
 
 @pytest.mark.parametrize("scene", SCENES)
@@ -144,7 +152,7 @@ def test_contact_stiffness_fd(scene):
     mesh, cfg, q = _scene(scene)
     cs = ct.active_set(mesh, cfg, q)
     # convention: contact_stiffness is d f_c / d q (not its negative)
-    k = ct.contact_stiffness(mesh, cs, cfg, q).toarray()
+    k = _dense(mesh, cs, ct.contact_stiffness(cs, cfg, q))
     eps = 1e-7
     kfd = np.zeros_like(k)
     for i in range(q.size):
@@ -166,9 +174,9 @@ def test_empty_contact_set_kernels():
     for f in (ct.contact_force(mesh, cs, cfg, q),
               ct.friction_force(mesh, cs, cfg, q, v)):
         assert f.shape == (n,) and not f.any()
-    for k in (ct.contact_stiffness(mesh, cs, cfg, q),
-              ct.friction_velocity_jacobian(mesh, cs, cfg, q, v)):
-        assert k.shape == (n, n) and k.nnz == 0
+    for k in (ct.contact_stiffness(cs, cfg, q),
+              ct.friction_velocity_jacobian(cs, cfg, v)):
+        assert k.shape == (0, 3, 3)
     jc, bn, bt = ct.contact_jacobian(mesh, cs, q)
     assert jc.shape == (0, n) and bn.shape == (0, 0) and bt.shape == (0, 0)
 
@@ -180,8 +188,8 @@ def test_kernels_sum_over_contacts(scene):
     mesh, cfg, q, v, cs = _sliding_setup(0.0007, scene)
     kernels = (lambda c: ct.contact_force(mesh, c, cfg, q),
                lambda c: ct.friction_force(mesh, c, cfg, q, v),
-               lambda c: ct.contact_stiffness(mesh, c, cfg, q).toarray(),
-               lambda c: ct.friction_velocity_jacobian(mesh, c, cfg, q, v).toarray())
+               lambda c: _dense(mesh, c, ct.contact_stiffness(c, cfg, q)),
+               lambda c: _dense(mesh, c, ct.friction_velocity_jacobian(c, cfg, v)))
     for kernel in kernels:
         ref = sum(kernel(_one(cs, i)) for i in range(cs.count))
         np.testing.assert_allclose(kernel(cs), ref, rtol=1e-12,
@@ -239,6 +247,20 @@ def test_friction_helpers_batched_equal_pointwise(normals, slips):
     _assert_rowwise(lambda x: ct._eta_jacobian(x, _EPS), slips)
 
 
+@given(st.one_of(_normals, _normals.map(lambda n: n[0])))
+@example(np.vstack([np.eye(3), -np.eye(3)]))  # zero components
+def test_tangent_frame_equals_np_cross_form(normals):
+    """The component-wise cross products give np.cross's frame bit for bit."""
+    a = np.zeros_like(normals)
+    np.put_along_axis(a, np.argmin(np.abs(normals), axis=-1)[..., None], 1.0,
+                      axis=-1)
+    t1 = np.cross(normals, a)
+    t1 /= ct._norm(t1)[..., None]
+    ref = t1, np.cross(normals, t1)
+    for got, want in zip(ct._tangent_frame(normals), ref):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_tangent_frame_orthonormal():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -294,7 +316,7 @@ def test_friction_opposes_and_coulomb_cone(scene):
     mesh, cfg, q, v, cs = _sliding_setup(0.5, scene)
     ff = ct.friction_force(mesh, cs, cfg, q, v)
     assert np.dot(ff, v) < 0  # dissipative
-    lam = ct.contact_lambda(cs, cfg)
+    lam = cs.lam
     # per-contact cone bound: |f_t| <= mu*lambda (fast sliding -> equality);
     # a contact's own force is its one-contact set's force at its vertex
     for i, vtx in enumerate(cs.vertices):
@@ -323,9 +345,8 @@ def test_friction_mdp_limit():
                                DELTA, 7.0, 0.4, eps)
         cs = ct.active_set(mesh, cfg, q)
         ff = ct.friction_force(mesh, cs, cfg, q, v)
-        lam = ct.contact_lambda(cs, cfg)
         mags.append(np.linalg.norm(ff.reshape(-1, 3)[cs.vertices[0]]) /
-                    (cfg.mu * lam[0]))
+                    (cfg.mu * cs.lam[0]))
     assert np.all(np.diff(mags) >= 0)
     assert mags[0] < 0.1 and mags[-1] > 0.999
 
@@ -333,7 +354,7 @@ def test_friction_mdp_limit():
 @pytest.mark.parametrize("scene", SCENES)
 def test_friction_velocity_jacobian_fd(scene):
     mesh, cfg, q, v, cs = _sliding_setup(0.0007, scene)
-    jac = ct.friction_velocity_jacobian(mesh, cs, cfg, q, v).toarray()
+    jac = -cfg.mu * _dense(mesh, cs, ct.friction_velocity_jacobian(cs, cfg, v))
     eps = 1e-9
     jfd = np.zeros_like(jac)
     for i in range(v.size):

@@ -100,29 +100,17 @@ def test_ere_exact_on_linear():
 
 def test_phi1_modal_oracle():
     # 2x2 blocks of h*phi1(h*A) and expm(h*A) for A = [[0,1],[-lam,0]] vs
-    # dense references; exp_modal_apply maps the unit vectors to its columns
+    # dense references: the modal maps take the unit vectors to their columns
     h = 0.37
+    e_q, e_v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     for lam in (-25.0, -1e-13, 0.0, 1e-13, 4.0, 900.0):
         a = np.array([[0.0, 1.0], [-lam, 0.0]])
-        ref = h * phi1_reference(h * a)
-        got = expo.phi1_modal(np.array([lam]), h)[0]
-        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
-        got = np.array(expo.exp_modal_apply(np.array([lam, lam]), h,
-                                            np.array([1.0, 0.0]),
-                                            np.array([0.0, 1.0])))
+        lams = np.array([lam, lam])
+        got = np.array(expo.phi1_modal_apply(lams, h, e_q, e_v))
+        np.testing.assert_allclose(got, h * phi1_reference(h * a), rtol=1e-9,
+                                   atol=1e-12)
+        got = np.array(expo.exp_modal_apply(lams, h, e_q, e_v))
         np.testing.assert_allclose(got, scipy.linalg.expm(h * a), rtol=1e-9,
                                    atol=1e-12)
 
 
-def test_phi1_modal_apply_consistent():
-    rng = np.random.default_rng(5)
-    lams = np.array([1.0, 50.0, 2000.0])
-    gq = rng.standard_normal(3)
-    gv = rng.standard_normal(3)
-    h = 0.05
-    blocks = expo.phi1_modal(lams, h)
-    oq, ov = expo.phi1_modal_apply(lams, h, gq, gv)
-    for i in range(3):
-        ref = blocks[i] @ np.array([gq[i], gv[i]])
-        assert np.isclose(oq[i], ref[0], rtol=1e-12)
-        assert np.isclose(ov[i], ref[1], rtol=1e-12)

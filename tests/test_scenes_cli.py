@@ -72,7 +72,8 @@ def test_bad_values_rejected(scene_dir):
             scenes.parse_scene(bad, base_dir=str(d))
 
 
-def test_roundtrip_identity(scene_dir):
+def test_parse_full_scene(scene_dir):
+    """Every optional section parses into the values the JSON gives."""
     d, data = scene_dir
     full = dict(data)
     full["contact"] = {
@@ -83,10 +84,17 @@ def test_roundtrip_identity(scene_dir):
     full["reduction"] = {"s": 3, "refresh": "every_n", "every_n": 4}
     full["rayleigh"] = {"alpha": 0.01, "beta": 0.2}
     sc = scenes.parse_scene(full, base_dir=str(d))
-    out = scenes.scene_to_dict(sc)
-    sc2 = scenes.parse_scene(out, base_dir=".")  # mesh path now absolute
-    assert scenes.scene_to_dict(sc2) == out
-
+    assert sc.mesh_path == str(d / "m.mesh")
+    plane, ball = sc.contact.surfaces
+    assert isinstance(plane, sd.HalfSpace) and isinstance(ball, sd.Sphere)
+    assert list(plane.point) == [0, 0, 0] and list(plane.normal) == [0, 0, 1]
+    assert list(ball.center) == [1, 1, 1] and ball.radius == 0.5
+    assert (sc.contact.delta, sc.contact.kappa, sc.contact.mu,
+            sc.contact.epsilon) == (0.01, 5.0, 0.2, 1e-3)
+    assert sc.reduction == sd.ReductionConfig(3, sd.RefreshPolicy.EVERY_N, 4)
+    assert (sc.rayleigh.alpha, sc.rayleigh.beta) == (0.01, 0.2)
+    assert sc.gravity == (0.0, 0.0, -9.8)
+    assert (sc.method, sc.h, sc.duration, sc.cadence) == ("BE", 0.01, 0.05, 100.0)
 
 def test_simulate_cli_outputs(scene_dir, tmp_path):
     d, _ = scene_dir

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
 import softdyn as sd
-from softdyn import reduction, steppers
+from softdyn import contact, reduction, steppers
 
 from conftest import perturb
 
@@ -63,6 +63,62 @@ def test_jacobian_vs_fd(beam, rng):
         um[i] -= eps
         jfd[:, i] = (model.eval_F(up) - model.eval_F(um)) / (2 * eps)
     assert np.abs(j - jfd).max() < 1e-4 * max(1.0, np.abs(jfd).max())
+
+
+def _fd_columns(model, u, cols, eps):
+    """Central differences of eval_F over the given columns of u."""
+    out = np.zeros((u.size, u.size))
+    for i in cols:
+        up, um = u.copy(), u.copy()
+        up[i] += eps
+        um[i] -= eps
+        out[:, i] = (model.eval_F(up) - model.eval_F(um)) / (2 * eps)
+    return out
+
+
+def test_jacobian_vs_fd_with_contact_and_friction(rng):
+    """eval_J with barrier contact on a plane and a sphere and sliding
+    friction: the q-block matches FD of F with friction's q-dependence
+    lagged (its frames and normal forces frozen), the v-block matches FD.
+    Vertex 2 touches both surfaces; the fixed vertex 0 lies inside the
+    plane's barrier band, and its blocks are dropped."""
+    cube = sd.box_mesh(2, 1, 1, 0.2, 0.1, 0.1)
+    mesh = sd.TetMesh(cube.rest_positions, cube.tets, [0],
+                      cube.surface_vertices)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e4, 0.4, 1000.0)
+    plane = sd.HalfSpace((0, 0, -0.004), (0, 0, 1))
+    out = np.array([1.0, -1.0, -1.0]) / np.sqrt(3.0)
+    ball = sd.Sphere(mesh.rest_positions[2] + 0.11 * out, 0.105)
+
+    def build(mu):
+        return sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8),
+                             sd.ContactConfig((plane, ball), 0.01, 100.0, mu))
+
+    model, lagged = build(0.4), build(0.0)
+    n = model.ndof
+    q = model.q_rest + 5e-4 * rng.uniform(-1, 1, n)
+    q[:3] = model.q_rest[:3]
+    v = np.where(model.free, 1e-3 * rng.standard_normal(n), 0.0)
+    u = np.concatenate([q, v])
+    cs = model._contact_set(q)
+    assert 0 in cs.vertices and list(cs.vertices).count(2) == 2
+    assert not cs.penetrating.any()
+    free = np.flatnonzero(model.free)
+
+    j = model.eval_J(u).toarray()
+    jq = _fd_columns(lagged, u, free, 1e-7)[:, :n]
+    jv = _fd_columns(model, u, n + free, 1e-9)[:, n:]
+    scale = np.abs(j).max()
+    assert np.abs(j[:, :n] - jq).max() < 1e-6 * scale
+    assert np.abs(j[:, n:] - jv).max() < 1e-6 * scale
+    # the lagged form: friction adds nothing to the q-block, whose exact
+    # q-derivative (FD of the friction model itself) does differ
+    np.testing.assert_array_equal(j[:, :n], lagged.eval_J(u).toarray()[:, :n])
+    full_q = _fd_columns(model, u, free, 1e-7)[:, :n]
+    assert np.abs(full_q - jq).max() > 1e-3 * scale
+    # the fixed vertex's rows and columns stay empty
+    fixed = np.r_[0:3, n:n + 3]
+    assert not j[fixed].any() and not j[:, fixed].any()
 
 
 def test_fixed_dofs_static(model):
@@ -265,6 +321,32 @@ def _contact_model(mesh, material, rayleigh=(0.0, 0.0)):
     contact = sd.ContactConfig((plane,), delta=0.01, kappa=100.0, mu=0.3)
     return sd.ForceModel(mesh, mat, sd.RayleighParams(*rayleigh),
                          (0, 0, -9.8), contact)
+
+
+def test_contact_terms_computed_once_per_set(monkeypatch):
+    """In a BE step on a contact scene the normal forces (barrier_grad) and
+    the tangent frames are computed once per contact set, though eval_F,
+    the factor and the step's diagnostics each use the set again."""
+    calls = dict.fromkeys(["active_set", "_tangent_frame", "barrier_grad",
+                           "friction_force", "contact_stiffness",
+                           "friction_velocity_jacobian"], 0)
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(contact, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(contact, name, counted)
+    model = _contact_model(sd.box_mesh(1, 1, 1, 0.2, 0.2, 0.2),
+                           "stable_neo_hookean")
+    u = np.concatenate([model.q_rest, 0.01 * np.ones(model.ndof)])
+    adv = sd.Advancer(model, "BE", 0.01)
+    adv.step(sd.SimState.from_u(u))
+    sets = calls["active_set"]
+    assert adv.last_diag["n_contacts"] > 0 and sets >= 2
+    assert calls["_tangent_frame"] == calls["barrier_grad"] == sets
+    # every set is used more than once: by eval_F and the diagnostics
+    # (friction_force), and the factor's sets by both Jacobian kernels
+    assert calls["friction_force"] > sets
+    assert calls["contact_stiffness"] == calls["friction_velocity_jacobian"] >= 1
 
 
 @given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2),

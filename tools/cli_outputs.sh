@@ -101,5 +101,31 @@ for name in TRBDF2 STRSBDF2ERE BDF2ERE linear_SIERE linear_TRBDF2; do
     with_stderr "$out/beam_${name}_stderr.txt" softdyn simulate \
         --scene "$out/beam_methods/${name}_scene.json" --out "$out/beam_$name"
 done
+# block_drop.json with a sphere bump under the block's middle, under BE and
+# TR-BDF2: bottom vertices then touch the plane and the sphere at once, so
+# the comparison covers the Sphere Hessian blocks and the sums of two
+# contacts at one vertex, which the plane-only scenes cannot show.
+mkdir -p "$out/block_two"
+python3 - "$out/block_two" <<'PY'
+import json
+import os
+import shutil
+import sys
+
+out = sys.argv[1]
+shutil.copy("demos/assets/block.mesh", out)
+with open("demos/assets/block_drop.json") as f:
+    scene = json.load(f)
+scene["contact"]["surfaces"].append(
+    {"kind": "sphere", "center": [0.1, 0.1, -0.497], "radius": 0.5})
+for method in ("BE", "TRBDF2"):
+    scene["stepper"]["method"] = method
+    with open(os.path.join(out, f"{method}_scene.json"), "w") as f:
+        json.dump(scene, f, indent=2)
+PY
+for name in BE TRBDF2; do
+    with_stderr "$out/block_two_${name}_stderr.txt" softdyn simulate \
+        --scene "$out/block_two/${name}_scene.json" --out "$out/block_two_$name"
+done
 with_stderr "$out/incline_stderr.txt" python3 demos/block_on_incline_demo.py \
     > "$out/incline_stdout.txt"
