@@ -36,6 +36,7 @@ class ReductionConfig:
     every_n: int = 1
 
     def __post_init__(self):
+        self.policy = RefreshPolicy(self.policy)
         if self.s < 0 or self.every_n < 1:
             raise ValueError("reduction needs s >= 0 and every_n >= 1")
 
@@ -43,7 +44,8 @@ class ReductionConfig:
 class Advancer:
     """Advances one simulation with a fixed method and step size. It owns
     the run's store of stage factors, {c: solve} per stage coefficient c,
-    which the Newton difference rows start each stage from."""
+    which the Newton difference rows start each stage from, and a modal
+    row's split with its refresh schedule and count."""
 
     def __init__(self, model, method: str, h: float,
                  newton: NewtonConfig = NewtonConfig(),
@@ -54,8 +56,28 @@ class Advancer:
         self.newton = newton
         self.split: ModalSplit | None = None
         self.red = (red or ReductionConfig()) if self.entry.modal else None
+        self.refreshes = 0
+        self.since_refresh = 0  # steps since the split was made
         self.last_diag: dict = {}
         self.factors: dict = {}
+
+    def _update_split(self, u0):
+        """Make the split at the first modal step, then remake it once the
+        policy's period has passed; a failed refresh keeps the old split
+        and is retried at the next step."""
+        red = self.red
+        if self.split is None:
+            self.split = reduction.modal_split(self.model, u0, red.s)
+            return
+        self.since_refresh += 1
+        period = {RefreshPolicy.ONCE: np.inf, RefreshPolicy.EVERY_STEP: 1,
+                  RefreshPolicy.EVERY_N: red.every_n}[red.policy]
+        if self.since_refresh < period:
+            return
+        new = reduction.refresh_split(self.model, u0, self.split)
+        if new is not None:
+            self.split, self.since_refresh = new, 0
+            self.refreshes += 1
 
     def step(self, state: SimState) -> SimState:
         h, model = self.h, self.model
@@ -70,17 +92,12 @@ class Advancer:
             diag["bootstrap"] = 1
         else:
             if self.entry.modal:
-                if self.split is None:
-                    red = self.red
-                    self.split = reduction.modal_split(
-                        model, u0, red.s, red.policy, red.every_n)
-                else:
-                    self.split = reduction.refresh_split(model, u0, self.split)
+                self._update_split(u0)
                 ms = self.split
                 diag["s"] = ms.s
                 diag["lam_min"] = float(ms.lam.min()) if ms.s else 0.0
                 diag["lam_max"] = float(ms.lam.max()) if ms.s else 0.0
-                diag["refreshes"] = ms.refresh_count
+                diag["refreshes"] = self.refreshes
             u1 = self.entry.step(model, u0, um1, h, self.newton, self.split,
                                  diag, self.factors)
 

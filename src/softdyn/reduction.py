@@ -15,7 +15,8 @@ import scipy.sparse.linalg as spla
 from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
                        _shifted_solve, _solve_stage, _tr_stage)
-from .steppers import newton_solve  # noqa: F401  (re-exported)
+# perfbench/tracer.py patches this alias as one of its entry points
+from .steppers import newton_solve  # noqa: F401
 from .system import _splu
 
 DENSE_EIG_CUTOFF = 300
@@ -25,24 +26,20 @@ EIG_SHIFT = -1e-8
 
 
 class RefreshPolicy(enum.Enum):
+    """When ``driver.Advancer`` remakes the split after the first."""
+
     ONCE = "once"
     EVERY_STEP = "every_step"
     EVERY_N = "every_n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModalSplit:
-    """s smallest generalized eigenpairs K x = lam M x, M-orthonormal."""
+    """s smallest generalized eigenpairs K x = lam M x, M-orthonormal. The
+    ``driver.Advancer`` decides when a split is remade."""
 
     x: np.ndarray           # (ndof, s), zero rows on fixed dofs
     lam: np.ndarray         # (s,), ascending
-    policy: RefreshPolicy = RefreshPolicy.ONCE
-    every_n: int = 1
-    steps_since_refresh: int = 0
-    refresh_count: int = 0
-    negative_count: int = 0
-    last_drift: float = 0.0  # largest principal angle to the previous split
-    eig_drift: float = 0.0   # largest eigenvalue change from the previous
 
     @property
     def s(self):
@@ -97,7 +94,7 @@ def smallest_eigpairs(k, m, s):
     return vec, lam
 
 
-def modal_split(model, u, s, policy=RefreshPolicy.ONCE, every_n=1) -> ModalSplit:
+def modal_split(model, u, s) -> ModalSplit:
     """Build the split from the model's stiffness at state u, respecting
     fixed-vertex masking: the eigenproblem is solved on the free block, in
     the order of the model's factors, and X is un-permuted once."""
@@ -112,34 +109,19 @@ def modal_split(model, u, s, policy=RefreshPolicy.ONCE, every_n=1) -> ModalSplit
     x = np.zeros((n, s))
     x[take] = xf
     neg = int((lam < 0).sum())
-    ms = ModalSplit(x, lam, policy, every_n, negative_count=neg)
     if neg:
         warnings.warn(f"{neg} negative stiffness eigenvalue(s) in split")
-    return ms
+    return ModalSplit(x, lam)
 
 
-def refresh_split(model, u, ms: ModalSplit) -> ModalSplit:
-    """Recompute eigenpairs per the split's policy; logs drift diagnostics."""
-    due = (ms.policy is RefreshPolicy.EVERY_STEP) or (
-        ms.policy is RefreshPolicy.EVERY_N
-        and ms.steps_since_refresh + 1 >= ms.every_n)
-    if not due:
-        ms.steps_since_refresh += 1
-        return ms
+def refresh_split(model, u, ms: ModalSplit) -> ModalSplit | None:
+    """A split of ms's size at state u, or None, with a warning, when the
+    eigensolve fails; the caller then keeps ms."""
     try:
-        new = modal_split(model, u, ms.s, ms.policy, ms.every_n)
+        return modal_split(model, u, ms.s)
     except (RuntimeError, ValueError) as exc:
         warnings.warn(f"eigen refresh failed ({exc}); keeping previous split")
-        ms.steps_since_refresh += 1
-        return ms
-    new.refresh_count = ms.refresh_count + 1
-    if ms.s and new.s:
-        # principal angles between old and new subspaces in the M inner product
-        sqm = np.sqrt(np.maximum(model.mass, 0.0))[:, None]
-        ang = scipy.linalg.subspace_angles(sqm * ms.x, sqm * new.x)
-        new.last_drift = float(ang.max()) if len(ang) else 0.0
-        new.eig_drift = float(np.max(np.abs(new.lam - ms.lam)))
-    return new
+        return None
 
 
 def split_forces(model, u, ms: ModalSplit):

@@ -97,6 +97,69 @@ def test_run_simulation_attaches_step_and_time(monkeypatch):
     assert (ei.value.step, ei.value.t, ei.value.stage) == (3, 2 * H, 2)
 
 
+def _refreshes(method, red, steps=10):
+    """The refreshes column of a run on a 4x1x1 SNH beam, s = 3, h = 0.01;
+    None on a step without one (the bootstrap step)."""
+    mesh = sd.box_mesh(4, 1, 1, 0.4, 0.1, 0.1, fix="left")
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8), None)
+    _, rows = sd.run_simulation(model, method, H, steps * H, red=red)
+    return [r.get("refreshes") for r in rows]
+
+
+ONCE = [0] * 10
+EVERY_STEP = list(range(10))
+EVERY_3 = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
+
+
+@pytest.mark.parametrize("method", ["SIERE", "BDF2ERE"])
+@pytest.mark.parametrize("policy,every_n,want", [
+    ("once", 1, ONCE), ("every_step", 1, EVERY_STEP),
+    ("every_n", 3, EVERY_3)], ids=["once", "every_step", "every_n"])
+def test_advancer_refresh_schedule(method, policy, every_n, want):
+    """The Advancer remakes the split per the policy: never, every step or
+    every every_n-th step. BDF2ERE's bootstrap step takes no split, so its
+    counts come one step later."""
+    red = ReductionConfig(3, reduction.RefreshPolicy(policy), every_n)
+    if method == "BDF2ERE":
+        want = [None] + want[:-1]
+    assert _refreshes(method, red) == want
+
+
+def test_failed_refresh_is_retried_next_step(monkeypatch):
+    """When the second eigensolve fails, the refresh due at step 4 warns,
+    keeps the split and is retried, and made, at step 5."""
+    eig, calls = reduction.smallest_eigpairs, []
+
+    def second_fails(k, m, s):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("eigensolver did not converge")
+        return eig(k, m, s)
+
+    monkeypatch.setattr(reduction, "smallest_eigpairs", second_fails)
+    red = ReductionConfig(3, reduction.RefreshPolicy.EVERY_N, 3)
+    with pytest.warns(UserWarning, match="eigen refresh failed") as rec:
+        got = _refreshes("SIERE", red)
+    assert len(rec) == 1
+    assert got == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+
+def test_reduction_config_takes_policy_by_value():
+    """A policy given by its scene value refreshes like the enum member;
+    an unknown value is a ValueError."""
+    mesh = sd.beam_mesh(8, 2, 2, 1.0, 0.25, 0.25)
+    mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)
+    model = sd.ForceModel(mesh, mat, sd.RayleighParams(), (0, 0, -9.8), None)
+    for policy in ("every_step", reduction.RefreshPolicy.EVERY_STEP):
+        red = ReductionConfig(s=4, policy=policy)
+        assert red.policy is reduction.RefreshPolicy.EVERY_STEP
+        _, rows = sd.run_simulation(model, "SIERE", H, 5 * H, red=red)
+        assert [r["refreshes"] for r in rows] == [0, 1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        ReductionConfig(s=4, policy="every_other")
+
+
 def _block_in_contact(plane_z):
     """A 0.2 m SNH box over a plane at height plane_z, delta 0.01."""
     mat = sd.MaterialParams(sd.Material.STABLE_NEO_HOOKEAN, 1e5, 0.4, 1000.0)

@@ -342,29 +342,16 @@ def test_strsbdf2ere_modal_accuracy_and_stability():
     assert abs(gq - exact) < 0.05 * amp
 
 
-def test_refresh_policies():
-    model = _model()
-    u = _rest_u(model)
-    ms = reduction.modal_split(model, u, 3, RefreshPolicy.ONCE)
-    ms2 = reduction.refresh_split(model, u, ms)
-    assert ms2 is ms  # never refreshed
-    ms = reduction.modal_split(model, u, 3, RefreshPolicy.EVERY_STEP)
-    ms2 = reduction.refresh_split(model, u, ms)
-    assert ms2.refresh_count == 1
-    ms = reduction.modal_split(model, u, 3, RefreshPolicy.EVERY_N, every_n=3)
-    for i in range(2):
-        ms = reduction.refresh_split(model, u, ms)
-        assert ms.refresh_count == 0
-    ms = reduction.refresh_split(model, u, ms)
-    assert ms.refresh_count == 1
-
-
 def test_refresh_keeps_split_when_eigensolve_fails(monkeypatch):
-    """A failed eigen refresh warns and keeps the previous eigenpairs; the
-    step counts as one without a refresh."""
+    """A failed eigen refresh warns and gives None; the Advancer then keeps
+    its split, the same object, and counts no refresh."""
     model = _model()
     u = _rest_u(model)
-    ms = reduction.modal_split(model, u, 3, RefreshPolicy.EVERY_STEP)
+    red = sd.ReductionConfig(3, RefreshPolicy.EVERY_STEP)
+    adv = sd.Advancer(model, "SIERE", 0.01, red=red)
+    state = adv.step(sd.SimState(model.q_rest.copy(),
+                                 np.zeros(model.ndof), 0.0))
+    ms = adv.split
     x, lam = ms.x.copy(), ms.lam.copy()
 
     def fails(k, m, s):
@@ -372,16 +359,18 @@ def test_refresh_keeps_split_when_eigensolve_fails(monkeypatch):
 
     monkeypatch.setattr(reduction, "smallest_eigpairs", fails)
     with pytest.warns(UserWarning, match="eigen refresh failed"):
-        ms2 = reduction.refresh_split(model, u, ms)
-    assert ms2 is ms
-    assert (ms.steps_since_refresh, ms.refresh_count) == (1, 0)
+        assert reduction.refresh_split(model, u, ms) is None
+    with pytest.warns(UserWarning, match="eigen refresh failed"):
+        adv.step(state)
+    assert adv.split is ms
+    assert adv.last_diag["refreshes"] == adv.refreshes == 0
     np.testing.assert_array_equal(ms.x, x)
     np.testing.assert_array_equal(ms.lam, lam)
 
 
 def test_modal_split_counts_negative_eigenvalues():
     """An indefinite K gives its negative eigenvalues first, with a warning
-    and their count on the split."""
+    that counts them."""
 
     class TwoModes:  # unit masses, K = diag(1, -16)
         ndof = 2
@@ -393,7 +382,7 @@ def test_modal_split_counts_negative_eigenvalues():
 
     with pytest.warns(UserWarning, match="1 negative stiffness eigenvalue"):
         ms = reduction.modal_split(TwoModes(), np.zeros(4), 2)
-    assert ms.negative_count == 1
+    assert (ms.lam < 0).sum() == 1
     np.testing.assert_allclose(ms.lam, [-16.0, 1.0])
     np.testing.assert_allclose(np.abs(ms.x), [[0.0, 1.0], [1.0, 0.0]])
 
@@ -408,13 +397,16 @@ def test_smw_singular_capacitance_raises():
             reduction.SmwSolver(np.eye(4), e1, -e1)
 
 
-def test_refresh_drift_is_zero_for_same_state():
+def test_refresh_at_same_state_reproduces_split():
+    """A refresh at the split's own state spans the same subspace (largest
+    principal angle in the M inner product) with the same eigenvalues."""
     model = _model()
     u = _rest_u(model)
-    ms = reduction.modal_split(model, u, 3, RefreshPolicy.EVERY_STEP)
+    ms = reduction.modal_split(model, u, 3)
     ms2 = reduction.refresh_split(model, u, ms)
-    assert ms2.last_drift < 1e-8
-    assert ms2.eig_drift < 1e-6
+    sqm = np.sqrt(model.mass)[:, None]
+    assert scipy.linalg.subspace_angles(sqm * ms.x, sqm * ms2.x).max() < 1e-8
+    assert np.abs(ms2.lam - ms.lam).max() < 1e-6
 
 
 def test_s_exceeds_free_raises():
@@ -501,7 +493,8 @@ def test_sparse_strsbdf2ere_runs_are_bit_identical():
 
 def test_refresh_keeps_split_when_factor_is_singular():
     """A K - sigma M that SuperLU finds exactly singular makes modal_split
-    raise RuntimeError; refresh_split then warns and keeps the split."""
+    raise RuntimeError; refresh_split then warns and gives None, and the
+    Advancer keeps its split."""
 
     class Diagonal:  # unit masses, K = diag(self.k)
         ndof = 320
@@ -514,15 +507,19 @@ def test_refresh_keeps_split_when_factor_is_singular():
 
     model = Diagonal()
     u = np.zeros(2 * model.ndof)
-    ms = reduction.modal_split(model, u, 3, RefreshPolicy.EVERY_STEP)
+    red = sd.ReductionConfig(3, RefreshPolicy.EVERY_STEP)
+    adv = sd.Advancer(model, "SIERE", 0.01, red=red)
+    adv._update_split(u)  # the split an Advancer step would make first
+    ms = adv.split
     x, lam = ms.x.copy(), ms.lam.copy()
     model.k = model.k.copy()
     model.k[5] = reduction.EIG_SHIFT  # K - EIG_SHIFT * M has a zero pivot
     with pytest.raises(RuntimeError, match="exactly singular"):
         reduction.modal_split(model, u, 3)
     with pytest.warns(UserWarning, match="eigen refresh failed"):
-        ms2 = reduction.refresh_split(model, u, ms)
-    assert ms2 is ms
-    assert (ms.steps_since_refresh, ms.refresh_count) == (1, 0)
+        assert reduction.refresh_split(model, u, ms) is None
+    with pytest.warns(UserWarning, match="eigen refresh failed"):
+        adv._update_split(u)
+    assert adv.split is ms and adv.refreshes == 0
     np.testing.assert_array_equal(ms.x, x)
     np.testing.assert_array_equal(ms.lam, lam)

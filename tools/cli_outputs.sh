@@ -70,8 +70,10 @@ PY
 softdyn eigs --scene "$out/beam16/beam16_scene.json" --s 10 \
     --out "$out/eigs_beam16"
 # The beam scene under the Newton stages of TR-BDF2, the labelled SMW stage
-# 2 of STR-SBDF2ERE and the modal Newton SMW stage of BDF2ERE; then with
-# the linear material, under the scene's SIERE and under TR-BDF2.
+# 2 of STR-SBDF2ERE and the modal Newton SMW stage of BDF2ERE; under the
+# scene's SIERE with the split made once and refreshed every third step
+# (the scene itself refreshes every step); then with the linear material,
+# under SIERE and under TR-BDF2.
 mkdir -p "$out/beam_methods"
 python3 - "$out/beam_methods" <<'PY'
 import json
@@ -93,11 +95,17 @@ def write(name, method):
 
 for method in ("TRBDF2", "STRSBDF2ERE", "BDF2ERE"):
     write(method, method)
+scene["reduction"] = {"s": 10, "refresh": "once"}
+write("SIERE_once", "SIERE")
+scene["reduction"] = {"s": 10, "refresh": "every_n", "every_n": 3}
+write("SIERE_every_n", "SIERE")
+scene["reduction"] = {"s": 10, "refresh": "every_step"}
 scene["material"]["model"] = "linear"
 for method in ("SIERE", "TRBDF2"):
     write(f"linear_{method}", method)
 PY
-for name in TRBDF2 STRSBDF2ERE BDF2ERE linear_SIERE linear_TRBDF2; do
+for name in TRBDF2 STRSBDF2ERE BDF2ERE SIERE_once SIERE_every_n \
+    linear_SIERE linear_TRBDF2; do
     with_stderr "$out/beam_${name}_stderr.txt" softdyn simulate \
         --scene "$out/beam_methods/${name}_scene.json" --out "$out/beam_$name"
 done
