@@ -84,14 +84,15 @@ def damping_coefficient(method, omega, h):
 
 def damping_curve(method, omega_h_grid, h=1.0) -> DampingCurve:
     """Sample d/omega over a grid of omega*h (the curve depends only on
-    the product, so omega = grid/h)."""
+    the product, so omega = grid/h). The curve is named by the method
+    table's name, whatever the case of a method given as a string."""
+    method = Method(method.upper()) if isinstance(method, str) else method
     grid = np.asarray(omega_h_grid, dtype=float)
     if grid.size and (np.any(grid <= 0) or np.any(np.diff(grid) <= 0)):
         raise ValueError("grid must be positive ascending")
     vals = np.array([damping_coefficient(method, wh / h, h) / (wh / h)
                      for wh in grid])
-    name = method.value if isinstance(method, Method) else str(method)
-    return DampingCurve(name, grid, vals)
+    return DampingCurve(method.value, grid, vals)
 
 
 def stability_function(method, z):

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from . import expo
 from .steppers import (NewtonConfig, StepFailure, _factorize,
-                       _shifted_solve, _solve_stage, _tr_stage)
+                       _implicit_stage, _shifted_solve, _tr_stage)
 # perfbench/tracer.py patches this alias as one of its entry points
 from .steppers import newton_solve  # noqa: F401
 from .system import _splu
@@ -52,20 +52,20 @@ def smallest_eigpairs(k, m, s):
     M must be SPD, K symmetric (possibly indefinite). Eigenvectors are
     M-orthonormal with a deterministic sign (largest-magnitude entry > 0).
 
-    Up to DENSE_EIG_CUTOFF unknowns the pencil is solved densely, for the
-    s pairs only. Above it, ARPACK runs in shift-invert mode about
-    EIG_SHIFT, and its inverse of K - EIG_SHIFT*M is one symmetric-mode
-    SuperLU factor made by ``system._splu``, the call that factors the
-    implicit stages. That factor keeps the pencil's own order, so a large
-    pencil should come in a fill-reducing order, as ``modal_split`` passes
-    it.
+    Up to DENSE_EIG_CUTOFF unknowns, and for all n pairs, which ARPACK
+    cannot return, the pencil is solved densely, for the s pairs only.
+    Otherwise ARPACK runs in shift-invert mode about EIG_SHIFT, and its
+    inverse of K - EIG_SHIFT*M is one symmetric-mode SuperLU factor made
+    by ``system._splu``, the call that factors the implicit stages. That
+    factor keeps the pencil's own order, so a large pencil should come in
+    a fill-reducing order, as ``modal_split`` passes it.
     """
     n = k.shape[0]
     if s > n:
         raise ValueError(f"s={s} exceeds dimension {n}")
     if s == 0:
         return np.zeros((n, 0)), np.zeros(0)
-    if n <= DENSE_EIG_CUTOFF:
+    if n <= DENSE_EIG_CUTOFF or s == n:
         lam, vec = scipy.linalg.eigh(sp.csr_matrix(k).toarray(),
                                      sp.csr_matrix(m).toarray(),
                                      subset_by_index=[0, s - 1])
@@ -124,13 +124,6 @@ def refresh_split(model, u, ms: ModalSplit) -> ModalSplit | None:
         return None
 
 
-def split_forces(model, u, ms: ModalSplit):
-    """(G, H) with G + H = F(u) and G supported on the modal subspace."""
-    f_full = model.eval_F(u)
-    g = project_G(model, ms, f_full)
-    return g, f_full - g
-
-
 def _restrict(model, ms: ModalSplit, w):
     """Modal coordinates (X^T M w_q, X^T M w_v) of a first-order vector."""
     n = model.ndof
@@ -187,20 +180,37 @@ class SmwSolver:
         return x - self._ainv_y @ w
 
 
-def _smw_factors(model, ms: ModalSplit, coeff):
-    """Y, Z with I - c*J_H = (I - c*J) + Y Z^T, the c factor in Z: the
-    blocks of c*J_G are Y = [[X, 0], [0, -X lam]], Z = [[0, cMX], [cMX, 0]]."""
-    x, zero = ms.x, np.zeros_like(ms.x)
-    cmx = coeff * (model.mass[:, None] * x)
-    y = np.block([[x, zero], [zero, -x * ms.lam]])
-    z = np.block([[zero, cmx], [cmx, zero]])
-    return y, z
+class _Complement:
+    """The split's complement as a system for ``steppers._implicit_stage``:
+    ``eval_F(u)`` is H = F - G and ``shifted(u, c)`` the SMW solve of
+    I - c J_H. G is the projection of F, or with ``u_ref`` the modal
+    linearization J_G (u - u_ref). The SmwSolvers it builds count its
+    solves."""
 
+    def __init__(self, model, ms: ModalSplit, u_ref=None):
+        self.model, self.ms, self.u_ref = model, ms, u_ref
+        self.solvers = []
 
-def _h_solver(model, u_ref, ms: ModalSplit, coeff) -> SmwSolver:
-    """Factorized solver for (I - coeff * J_H(u_ref))."""
-    y, z = _smw_factors(model, ms, coeff)
-    return SmwSolver(_shifted_solve(model, u_ref, coeff), y, z)
+    def eval_F(self, u):
+        f = self.model.eval_F(u)
+        if self.u_ref is None:
+            return f - project_G(self.model, self.ms, f)
+        return f - _jg_apply(self.model, self.ms, u - self.u_ref)
+
+    def shifted(self, u, c):
+        """I - c J_H = (I - c J) + Y Z^T, the c factor in Z: the blocks of
+        c J_G are Y = [[X, 0], [0, -X lam]], Z = [[0, cMX], [cMX, 0]]."""
+        x, zero = self.ms.x, np.zeros_like(self.ms.x)
+        cmx = c * (self.model.mass[:, None] * x)
+        y = np.block([[x, zero], [zero, -x * self.ms.lam]])
+        z = np.block([[zero, cmx], [cmx, zero]])
+        self.solvers.append(SmwSolver(_shifted_solve(self.model, u, c), y, z))
+        return self.solvers[-1].solve
+
+    def count(self, diag):
+        """Write the SMW solves made so far into diag["smw_solves"]."""
+        if diag is not None:
+            diag["smw_solves"] = sum(sv.n_solves for sv in self.solvers)
 
 
 def _ere_subspace_term(model, u, ms: ModalSplit, h):
@@ -211,38 +221,25 @@ def _ere_subspace_term(model, u, ms: ModalSplit, h):
     return _prolong(ms, *expo.phi1_modal_apply(ms.lam, h, gq, gv))
 
 
-def _h_implicit(model, u0, um1, h, ms: ModalSplit, cfg, diag=None):
-    """BEERE (um1 None) or BDF2ERE by _solve_stage from u0, one SMW-factored
-    I - c J_H per factorization; diag["smw_solves"] counts the solves."""
-    ere = _ere_subspace_term(model, u0, ms, h)
-    if um1 is None:
-        base, c, extra = u0, h, ere
-    else:
-        base, c, extra = (4.0 * u0 - um1 + 2.0 * ere) / 3.0, 2.0 * h / 3.0, 0.0
-    solvers = []
-
-    def residual(u):
-        return u - base - c * split_forces(model, u, ms)[1] - extra
-
-    def jacobian(u):
-        solvers.append(_h_solver(model, u, ms, c))
-        return solvers[-1].solve
-
-    u1 = _solve_stage(residual, jacobian, u0, cfg)
-    if diag is not None:
-        diag["smw_solves"] = sum(sv.n_solves for sv in solvers)
-    return u1
-
-
 def beere_step(model, u0, h, ms: ModalSplit, cfg=NewtonConfig(), diag=None):
-    """BEERE: u1 = u0 + h H(u1) + h phi1(h J_G) G(u0); cfg=None gives SIERE."""
-    return _h_implicit(model, u0, None, h, ms, cfg, diag)
+    """BEERE: u1 = u0 + h H(u1) + h phi1(h J_G) G(u0); cfg=None gives SIERE.
+    diag["smw_solves"] counts the SMW solves."""
+    comp = _Complement(model, ms)
+    u1 = _implicit_stage(comp, u0 + _ere_subspace_term(model, u0, ms, h), h,
+                         u0, cfg)
+    comp.count(diag)
+    return u1
 
 
 def bdf2ere_step(model, u0, um1, h, ms: ModalSplit, cfg=NewtonConfig(),
                  diag=None):
     """BDF2ERE: ERE on the modal part, BDF2 in H; cfg=None gives SBDF2ERE."""
-    return _h_implicit(model, u0, um1, h, ms, cfg, diag)
+    comp = _Complement(model, ms)
+    ere = _ere_subspace_term(model, u0, ms, h)
+    u1 = _implicit_stage(comp, (4.0 * u0 - um1 + 2.0 * ere) / 3.0,
+                         2.0 * h / 3.0, u0, cfg)
+    comp.count(diag)
+    return u1
 
 
 def _exp_g_apply(model, ms: ModalSplit, c, w):
@@ -270,14 +267,8 @@ def strsbdf2ere_step(model, u0, h, ms: ModalSplit, diag=None):
     u_ref = np.concatenate([model.q_rest, np.zeros(model.ndof)])
     u_prop = u_ref + (4.0 * _exp_g_apply(model, ms, h / 2.0, u_half - u_ref)
                       - _exp_g_apply(model, ms, h, u0 - u_ref)) / 3.0
-    c = h / 3.0
-
-    def residual(u):  # remainder relative to the modal linearization
-        return u - u_prop - c * (model.eval_F(u)
-                                 - _jg_apply(model, ms, u - u_ref))
-
-    u1 = _solve_stage(residual, lambda u: _h_solver(model, u, ms, c).solve,
-                      u_half, None, stage=2)
-    if diag is not None:
-        diag["smw_solves"] = 2  # one solve per stage
+    # stage 2 solves against the remainder of F past the modal linearization
+    comp = _Complement(model, ms, u_ref)
+    u1 = _implicit_stage(comp, u_prop, h / 3.0, u_half, None, stage=2)
+    comp.count(diag)
     return u1

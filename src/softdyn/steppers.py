@@ -1,7 +1,8 @@
 """Difference time steppers: BE, SI, TR, BDF2, TR-BDF2, SDIRK and their
-semi-implicit 'S' variants, plus the simplified Newton solver of their
-stages. A semi-implicit method is its implicit twin in one-iteration mode:
-its table row is ``partial(twin, cfg=None)``.
+semi-implicit 'S' variants, plus ``_implicit_stage``, the one solver of
+every implicit stage (the modal stages of ``reduction`` included). A
+semi-implicit method is its implicit twin in one-iteration mode: its table
+row is ``partial(twin, cfg=None)``.
 
 Steppers act on any system exposing ``eval_F(u)`` and ``eval_J(u)`` (J may
 be dense or sparse). Every implicit stage solves with I - cJ through one
@@ -192,50 +193,47 @@ def newton_solve(residual_fn, jacobian_fn, guess, cfg: NewtonConfig,
             solve = None
 
 
-def _solve_stage(residual_fn, jacobian_fn, guess, cfg: NewtonConfig | None,
-                 stage=None, solve=None):
-    """Solve residual_fn(u) = 0 from guess: Newton under cfg, starting from
-    the factored solve ``solve`` if given, or with cfg None one undamped
-    Newton iteration (one factorization and solve), which warns when it
-    inflates the residual g at the guess by over DIVERGENCE_FACTOR; g = 0
-    gives no scale, and then nothing is compared. A StepFailure raised
-    here or by Newton carries the label stage."""
+def _implicit_stage(model, base, c, guess, cfg: NewtonConfig | None,
+                    stage=None, factors=None):
+    """Solve u = base + c F(u) from guess, the one solver of every implicit
+    stage (the modal ones pass the split's complement as model). Newton
+    runs under cfg; with a store ``factors`` ({c: solve}) it starts from
+    the factor kept under c, and each factor it makes is kept there. With
+    cfg None it takes one undamped Newton iteration (one factorization and
+    solve), which warns when it inflates the residual g at the guess by
+    over DIVERGENCE_FACTOR; g = 0 gives no scale, and then nothing is
+    compared. A StepFailure raised here or by Newton carries the label
+    stage."""
+    def residual(u):
+        return u - base - c * model.eval_F(u)
+
+    def factor(u):
+        solve = _shifted_solve(model, u, c)
+        if factors is not None:
+            factors[c] = solve
+        return solve
+
     if cfg is not None:
         try:
-            return newton_solve(residual_fn, jacobian_fn, guess, cfg, solve)
+            return newton_solve(residual, factor, guess, cfg,
+                                None if factors is None else factors.get(c))
         except StepFailure as exc:
             exc.stage = stage
             raise
-    g = residual_fn(guess)
+    g = residual(guess)
     gnorm = np.linalg.norm(g)
     try:
-        u1 = guess - _factorize(jacobian_fn(guess))(g)
+        u1 = guess - factor(guess)(g)
         if not np.all(np.isfinite(u1)):
             raise np.linalg.LinAlgError("non-finite state")
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise StepFailure(f"semi-implicit solve failed: {exc}", guess, gnorm,
                           stage) from exc
-    if gnorm > 0.0 and (np.linalg.norm(residual_fn(u1))
+    if gnorm > 0.0 and (np.linalg.norm(residual(u1))
                         > DIVERGENCE_FACTOR * gnorm):
         warnings.warn("semi-implicit stage increased its residual by > 1e6, "
                       "possible divergence", stacklevel=2)
     return u1
-
-
-def _implicit_stage(model, base, coeff_h, guess, cfg, stage=None,
-                    factors=None):
-    """Solve u = base + coeff_h * F(u) from guess by _solve_stage. With a
-    store ``factors`` ({coeff_h: solve}), Newton starts from the factor
-    kept under coeff_h, and each factor it makes is kept there."""
-    def factor(u):
-        solve = _shifted_solve(model, u, coeff_h)
-        if factors is not None:
-            factors[coeff_h] = solve
-        return solve
-
-    return _solve_stage(lambda u: u - base - coeff_h * model.eval_F(u),
-                        factor, guess, cfg, stage,
-                        None if factors is None else factors.get(coeff_h))
 
 
 def step_be(model, u0, h, cfg: NewtonConfig | None = NewtonConfig(),

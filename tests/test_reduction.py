@@ -55,6 +55,22 @@ def test_eigpairs_large_path():
     np.testing.assert_allclose(lam, ref, rtol=1e-6)
 
 
+def test_eigpairs_every_pair_above_cutoff():
+    """s = n above the dense cutoff, which ARPACK cannot return, takes the
+    dense path and gives dense eigh's eigenpairs."""
+    rng = np.random.default_rng(3)
+    n = reduction.DENSE_EIG_CUTOFF + 1
+    a = rng.standard_normal((n, n))
+    k = a + a.T + n * np.eye(n)
+    mdiag = rng.uniform(0.5, 2.0, n)
+    x, lam = sd.smallest_eigpairs(spsp.csr_matrix(k), spsp.diags(mdiag), n)
+    ref = scipy.linalg.eigh(k, np.diag(mdiag), eigvals_only=True)
+    np.testing.assert_allclose(lam, ref, rtol=1e-10)
+    np.testing.assert_allclose(x.T @ (mdiag[:, None] * x), np.eye(n),
+                               atol=1e-8)
+    assert np.abs(k @ x - mdiag[:, None] * x * lam).max() < 1e-8 * n
+
+
 def test_modal_split_masks_fixed():
     model = _model()
     ms = reduction.modal_split(model, _rest_u(model), 4)
@@ -76,8 +92,8 @@ def test_projector_idempotent_and_split_sums():
     g = reduction.project_G(model, ms, f)
     gg = reduction.project_G(model, ms, g)
     assert np.linalg.norm(g - gg) < 1e-10 * max(1.0, np.linalg.norm(g))
-    gs, hs = reduction.split_forces(model, u, ms)
-    assert np.linalg.norm(gs + hs - f) < 1e-12 * max(1.0, np.linalg.norm(f))
+    hs = reduction._Complement(model, ms).eval_F(u)  # H = F - G
+    assert np.linalg.norm(g + hs - f) < 1e-12 * max(1.0, np.linalg.norm(f))
     # H is M-orthogonal to the subspace
     n = model.ndof
     assert np.abs(ms.x.T @ (model.mass * hs[:n])).max() < 1e-8
@@ -119,11 +135,11 @@ def test_smw_h_solver_matches_dense():
                           for e in np.eye(n2)])
     jh = model.eval_J(u).toarray() - jg
     rng = np.random.default_rng(2)
-    solver = reduction._h_solver(model, u, ms, h)
+    solve = reduction._Complement(model, ms).shifted(u, h)
     for _ in range(5):
         rhs = rng.standard_normal(n2)
         ref = np.linalg.solve(np.eye(n2) - h * jh, rhs)
-        got = solver.solve(rhs)
+        got = solve(rhs)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-8
 
 
@@ -269,6 +285,30 @@ class _ExplodingSplit:
 
     def eval_J(self, u):
         return np.zeros((4, 4))
+
+
+@pytest.mark.parametrize("name", ["SIERE", "SBDF2ERE", "STRSBDF2ERE",
+                                  "BEERE", "BDF2ERE"])
+def test_modal_steps_count_smw_solves(name, monkeypatch):
+    """diag["smw_solves"] counts the solves of the SMW stage: one per
+    semi-implicit step (STR-SBDF2ERE's stage 1 is a plain TR solve, not an
+    SMW one) and one per Newton direction of BEERE and BDF2ERE."""
+    model = _model(3, 1, 1)
+    u0 = _rest_u(model)
+    ms = reduction.modal_split(model, u0, 4)
+    directions = []
+    direction = steppers._direction
+
+    def counted(*args):
+        directions.append(1)
+        return direction(*args)
+
+    monkeypatch.setattr(steppers, "_direction", counted)
+    diag = {}
+    sd.METHODS[Method(name)].step(model, u0, u0, 0.01,
+                                  steppers.NewtonConfig(), ms, diag)
+    assert diag == {"smw_solves": max(1, len(directions))}
+    assert name.startswith("S") or len(directions) > 1
 
 
 def test_siere_divergence_warns():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import softdyn as sd
-from softdyn import cli, scenes
+from softdyn import cli, reduction, scenes
 
 
 @pytest.fixture
@@ -243,6 +243,18 @@ def test_damping_curves_cli(tmp_path):
                      "--grid", "5:1:3", "--out", str(out)]) == 2
 
 
+def test_damping_curves_cli_names_curves_by_method(tmp_path):
+    """A curve is named by the method table's name, whatever the case of
+    the name given on the command line."""
+    out = tmp_path / "d"
+    assert cli.main(["damping-curves", "--methods", "be,Sdirk",
+                     "--grid", "0.1:1:2", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["damping_BE.csv",
+                                                    "damping_SDIRK.csv"]
+    rows = (out / "damping_SDIRK.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["SDIRK", "SDIRK"]
+
+
 def test_convergence_cli(tmp_path, capsys):
     out = tmp_path / "c"
     rc = cli.main(["convergence", "--methods", "BE,TR", "--seed", "7",
@@ -265,3 +277,21 @@ def test_eigs_cli(scene_dir, tmp_path):
     lams = [float(l.split(",")[1]) for l in lines[1:]]
     assert lams == sorted(lams)
     assert all(l > 0 for l in lams)
+
+
+def test_eigs_cli_every_pair_above_dense_cutoff(scene_dir, tmp_path):
+    """eigs clamps --s to the free dofs; on an 8x3x3 beam (336 free dofs,
+    above the dense cutoff) that asks for every eigenpair, which the dense
+    eigensolve gives."""
+    d, data = scene_dir
+    mesh = sd.beam_mesh(8, 3, 3, 1.0, 0.25, 0.25)
+    nfree = int(mesh.free_dof_mask().sum())
+    assert nfree > reduction.DENSE_EIG_CUTOFF
+    sd.save_mesh(mesh, d / "beam.mesh")
+    (d / "beam.json").write_text(json.dumps(dict(data, mesh="beam.mesh")))
+    out = tmp_path / "e"
+    assert cli.main(["eigs", "--scene", str(d / "beam.json"), "--s", "1000",
+                     "--out", str(out)]) == 0
+    lines = (out / "eigenvalues.csv").read_text().splitlines()
+    lams = [float(line.split(",")[1]) for line in lines[1:]]
+    assert len(lams) == nfree and lams == sorted(lams) and lams[0] > 0

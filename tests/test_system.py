@@ -121,6 +121,45 @@ def test_jacobian_vs_fd_with_contact_and_friction(rng):
     assert not j[fixed].any() and not j[:, fixed].any()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_jacobian_vs_fd_with_rayleigh(seed, material):
+    """eval_J on seeded random small meshes (box meshes with perturbed rest
+    positions) under Rayleigh (alpha, beta) > 0, at a random state. The
+    v-block (both row blocks) matches central FD of eval_F in full. The
+    q-block matches FD of the alpha = 0 twin: eval_J lags the q-derivative
+    of alpha K(q) v. That lag is checked against its lagged form, not FD:
+    the q-block is the twin's, bit for bit, and for the linear material,
+    whose K is constant, it also matches FD of the model itself."""
+    rng = np.random.default_rng(seed)
+    nx, ny, nz = rng.integers(1, 3, 3)
+    box = sd.box_mesh(nx, ny, nz, 0.1 * nx, 0.1 * ny, 0.1 * nz, fix="left")
+    rest = box.rest_positions + 0.01 * rng.uniform(-1, 1,
+                                                   (box.num_vertices, 3))
+    mesh = sd.TetMesh(rest, box.tets, box.fixed_vertices, box.surface_vertices)
+    alpha, beta = rng.uniform(0.005, 0.02), rng.uniform(0.1, 1.0)
+
+    def build(a):
+        return sd.ForceModel(mesh, material, sd.RayleighParams(a, beta),
+                             (0, 0, -9.8), None)
+
+    model, twin = build(alpha), build(0.0)
+    u = rand_state(model, rng)
+    n, free = model.ndof, np.flatnonzero(model.free)
+    j = model.eval_J(u).toarray()
+    scale = np.abs(j).max()
+    jv = _fd_columns(model, u, n + free, 1e-6)[:, n:]
+    assert np.abs(j[:, n:] - jv).max() < 1e-8 * scale
+    jq = _fd_columns(twin, u, free, 1e-7)[:, :n]
+    assert np.abs(j[:, :n] - jq).max() < 1e-8 * scale
+    np.testing.assert_array_equal(j[:, :n], twin.eval_J(u).toarray()[:, :n])
+    full_q = _fd_columns(model, u, free, 1e-7)[:, :n]
+    lag = np.abs(full_q - jq).max()
+    if material.model is sd.Material.LINEAR:
+        assert lag < 1e-8 * scale
+    else:
+        assert lag > 1e-3 * scale
+
+
 def test_fixed_dofs_static(model):
     u = np.concatenate([model.q_rest, np.zeros(model.ndof)])
     f = model.eval_F(u)

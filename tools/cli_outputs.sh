@@ -70,10 +70,12 @@ PY
 softdyn eigs --scene "$out/beam16/beam16_scene.json" --s 10 \
     --out "$out/eigs_beam16"
 # The beam scene under the Newton stages of TR-BDF2, the labelled SMW stage
-# 2 of STR-SBDF2ERE and the modal Newton SMW stage of BDF2ERE; under the
-# scene's SIERE with the split made once and refreshed every third step
-# (the scene itself refreshes every step); then with the linear material,
-# under SIERE and under TR-BDF2.
+# 2 of STR-SBDF2ERE, the modal Newton SMW stages of BDF2ERE and BEERE and
+# the one-iteration SMW stage of SBDF2ERE; with Rayleigh damping
+# (alpha 0.01, beta 0.5) under BEERE, SIERE and TR-BDF2; under the scene's
+# SIERE with the split made once and refreshed every third step (the scene
+# itself refreshes every step); then with the linear material, under SIERE
+# and under TR-BDF2.
 mkdir -p "$out/beam_methods"
 python3 - "$out/beam_methods" <<'PY'
 import json
@@ -93,8 +95,12 @@ def write(name, method):
         json.dump(scene, f, indent=2)
 
 
-for method in ("TRBDF2", "STRSBDF2ERE", "BDF2ERE"):
+for method in ("TRBDF2", "STRSBDF2ERE", "BDF2ERE", "BEERE", "SBDF2ERE"):
     write(method, method)
+scene["rayleigh"] = {"alpha": 0.01, "beta": 0.5}
+for method in ("BEERE", "SIERE", "TRBDF2"):
+    write(f"ray_{method}", method)
+scene["rayleigh"] = {"alpha": 0.0, "beta": 0.0}
 scene["reduction"] = {"s": 10, "refresh": "once"}
 write("SIERE_once", "SIERE")
 scene["reduction"] = {"s": 10, "refresh": "every_n", "every_n": 3}
@@ -104,8 +110,8 @@ scene["material"]["model"] = "linear"
 for method in ("SIERE", "TRBDF2"):
     write(f"linear_{method}", method)
 PY
-for name in TRBDF2 STRSBDF2ERE BDF2ERE SIERE_once SIERE_every_n \
-    linear_SIERE linear_TRBDF2; do
+for name in TRBDF2 STRSBDF2ERE BDF2ERE BEERE SBDF2ERE ray_BEERE ray_SIERE \
+    ray_TRBDF2 SIERE_once SIERE_every_n linear_SIERE linear_TRBDF2; do
     with_stderr "$out/beam_${name}_stderr.txt" softdyn simulate \
         --scene "$out/beam_methods/${name}_scene.json" --out "$out/beam_$name"
 done
